@@ -14,19 +14,16 @@ from .padic import (
     PadicApprox,
     PNorm,
     Valuation,
-    arith,
     binomial_eval,
     distance,
     from_digits,
     is_prime,
-    sigma_shift,
 )
 from .automata import (
     Automaton,
     RunTrace,
     check_nondegenerate,
     guaranteed_output_length,
-    induced_map,
     make_shift_automaton,
     max_output_deficit,
     parse_automaton,
@@ -69,8 +66,10 @@ from .dynamics import (
     level_map,
     orbit,
     padded_endomap,
+    plot_levels,
     plot_points,
     preimage_census,
+    reduced_map,
     to_csv,
     to_pgm,
 )

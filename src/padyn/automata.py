@@ -23,13 +23,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .errors import (
-    AutomatonFormatError,
-    DegenerateAutomatonError,
-    PrecisionError,
-    UnboundedLookaheadError,
-)
-from .padic import PadicApprox, from_digits, is_prime
+from .errors import AutomatonFormatError, DegenerateAutomatonError, UnboundedLookaheadError
+from .padic import is_prime
 
 __all__ = [
     "Automaton",
@@ -38,7 +33,6 @@ __all__ = [
     "accessible_states",
     "check_nondegenerate",
     "guaranteed_output_length",
-    "induced_map",
     "make_shift_automaton",
     "max_output_deficit",
     "parse_automaton",
@@ -323,19 +317,3 @@ def max_output_deficit(a: Automaton) -> int:
         "a reachable cycle consumes more letters than it emits"
     )
 
-
-def induced_map(a: Automaton, x: PadicApprox) -> PadicApprox:
-    """Apply the transducer to the known digits of x.
-
-    The result precision is the guaranteed output length for inputs of
-    length x.precision, which is sound for every continuation of x.
-    """
-    if a.p != x.p:
-        raise ValueError(f"mismatched primes {a.p} and {x.p}")
-    certain = guaranteed_output_length(a, x.precision)
-    if certain == 0:
-        raise PrecisionError(
-            f"no output digit is certain from {x.precision} input digits"
-        )
-    trace = run(a, x.digits())
-    return from_digits(trace.output[:certain], a.p)

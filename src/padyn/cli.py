@@ -127,10 +127,10 @@ def _coefficient_rows(coeffs: mahler.MahlerCoeffs) -> list[dict]:
     ]
 
 
-def _census_section(expr, args, budget) -> list[dict]:
+def _census_section(top: dynamics.ReducedLevelMap, args) -> list[dict]:
     rows = []
     for k in range(2, args.kmax + 1):
-        lm = dynamics.level_map(expr, args.p, args.n, k, budget)
+        lm = top.restrict(args.n * k, args.n * (k - 1))
         census = dynamics.preimage_census(lm)
         rows.append(
             {
@@ -149,12 +149,11 @@ def _census_section(expr, args, budget) -> list[dict]:
     return rows
 
 
-def _cycles_section(expr, args, budget) -> list[dict]:
+def _cycles_section(top: dynamics.ReducedLevelMap, args) -> list[dict]:
     rows = []
     for k in range(1, args.kmax + 1):
         m = args.n * k
-        em = dynamics.padded_endomap(expr, args.p, m, budget)
-        report = dynamics.cycle_report(em)
+        report = dynamics.cycle_report(top.restrict(m, m))
         rows.append(_cycle_row(m, report))
     return rows
 
@@ -172,10 +171,15 @@ def _cycle_row(m: int, report: dynamics.CycleReport) -> dict:
     }
 
 
-def _plotset_section(expr, args, budget) -> tuple[dict, dynamics.PlotSet, dynamics.BoxCount]:
-    ps = dynamics.accumulate_plot(expr, args.p, args.n, args.kmax, budget)
+def _plotset_section(top: dynamics.ReducedLevelMap, args) -> dict:
+    """The plot-set summary; also writes the --csv and --pgm files."""
+    ps = dynamics.plot_levels(top, args.n, range(1, args.kmax + 1))
     bc = dynamics.box_count(ps, args.grid)
-    section = {
+    if args.csv:
+        Path(args.csv).write_text(dynamics.to_csv(ps))
+    if args.pgm:
+        Path(args.pgm).write_text(dynamics.to_pgm(bc))
+    return {
         "n": args.n,
         "k_max": args.kmax,
         "points": len(ps.points),
@@ -189,7 +193,6 @@ def _plotset_section(expr, args, budget) -> tuple[dict, dynamics.PlotSet, dynami
             }
         ],
     }
-    return section, ps, bc
 
 
 def _dispatch(args, budget) -> dict:
@@ -253,21 +256,23 @@ def _dispatch(args, budget) -> dict:
         )
         return report
 
+    # Each oracle subcommand tabulates the map once, on the largest level
+    # its rows need; every row is a restrict of that table.
+    p, n, kmax = args.p, args.n, args.kmax
     if args.subcommand == "preimages":
-        report["census"] = _census_section(expr, args, budget)
+        if kmax > 1:
+            top = dynamics.reduced_map(expr, p, n * kmax, n * (kmax - 1), budget)
+            report["census"] = _census_section(top, args)
         return report
 
     if args.subcommand == "cycles":
-        report["cycles"] = _cycles_section(expr, args, budget)
+        top = dynamics.reduced_map(expr, p, n * kmax, n * kmax, budget)
+        report["cycles"] = _cycles_section(top, args)
         return report
 
     if args.subcommand == "plotset":
-        section, ps, bc = _plotset_section(expr, args, budget)
-        report["plotset"] = section
-        if args.csv:
-            Path(args.csv).write_text(dynamics.to_csv(ps))
-        if args.pgm:
-            Path(args.pgm).write_text(dynamics.to_pgm(bc))
+        top = dynamics.reduced_map(expr, p, n + kmax, kmax, budget)
+        report["plotset"] = _plotset_section(top, args)
         return report
 
     coeffs = mahler.mahler_coeffs(expr, args.p, args.mmax, args.K)
@@ -301,35 +306,19 @@ def _dispatch(args, budget) -> dict:
     report["verdicts"]["cs"] = mahler.check_complex_shift_bound(coeffs, args.n).to_json()
     report["verdicts"]["cs_mp"] = mahler.check_cs_mp(coeffs, args.n).to_json()
     report["verdicts"]["cs_ergodic"] = mahler.check_cs_ergodic(coeffs, args.n).to_json()
-    report["census"] = _census_section(expr, args, budget)
-    report["cycles"] = _cycles_section(expr, args, budget)
-    section, ps, bc = _plotset_section(expr, args, budget)
-    report["plotset"] = section
-    if args.csv:
-        Path(args.csv).write_text(dynamics.to_csv(ps))
-    if args.pgm:
-        Path(args.pgm).write_text(dynamics.to_pgm(bc))
+    top = dynamics.reduced_map(expr, p, max(n * kmax, n + kmax), n * kmax, budget)
+    report["census"] = _census_section(top, args)
+    report["cycles"] = _cycles_section(top, args)
+    report["plotset"] = _plotset_section(top, args)
     return report
 
 
 def _verdict_line(name: str, data: dict) -> str:
     kind = data.get("kind", "")
-    if kind == "satisfied_up_to":
-        text = f"SatisfiedUpTo({data['bound']})"
-        if data.get("total"):
-            text += " (total: finitely many nonzero coefficients)"
-    elif kind == "violated_at":
-        text = f"ViolatedAt({data['m']}): {data['condition']}; observed {data['observed']}"
-        if data.get("definitive"):
-            text += " [definitive: condition is necessary for p=2]"
-    elif kind == "undecidable_at":
-        text = f"UndecidableAt({data['m']}): {data['condition']}"
-    else:
-        text = ", ".join(f"{k}={v}" for k, v in data.items() if k != "kind" and v is not None)
-        text = f"{kind}" + (f" ({text})" if text else "")
-    if data.get("note"):
-        text += f" [{data['note']}]"
-    return f"  {name}: {text}"
+    if kind in ("satisfied_up_to", "violated_at", "undecidable_at"):
+        return f"  {name}: {mahler.Verdict(**data)}"
+    text = ", ".join(f"{k}={v}" for k, v in data.items() if k != "kind" and v is not None)
+    return f"  {name}: {kind}" + (f" ({text})" if text else "")
 
 
 def render_report(report: dict, fmt: str = "text") -> str:

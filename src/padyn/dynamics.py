@@ -16,8 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetError
-from .mapdsl import DEFAULT_BUDGET, MapExpr, eval_map, lookahead_bound
+from .mapdsl import MapExpr, eval_map, lookahead_bound, tabulate
 from .padic import PadicApprox
 
 __all__ = [
@@ -33,17 +32,13 @@ __all__ = [
     "level_map",
     "orbit",
     "padded_endomap",
+    "plot_levels",
     "plot_points",
     "preimage_census",
+    "reduced_map",
     "to_csv",
     "to_pgm",
 ]
-
-
-def _check_budget(entries: int, budget: int | None) -> None:
-    limit = DEFAULT_BUDGET if budget is None else budget
-    if entries > limit:
-        raise BudgetError(f"enumeration of {entries} entries exceeds budget {limit}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +59,36 @@ class ReducedLevelMap:
         if any(not 0 <= v < limit for v in self.table):
             raise ValueError("table value out of codomain range")
 
+    def restrict(self, domain_digits: int, codomain_digits: int) -> ReducedLevelMap:
+        """The reduction Z/p**domain_digits -> Z/p**codomain_digits read off
+        this table: its first p**domain_digits entries, reduced."""
+        if not (
+            1 <= domain_digits <= self.domain_digits
+            and 1 <= codomain_digits <= self.codomain_digits
+        ):
+            raise ValueError(
+                f"a table of Z/{self.p}^{self.domain_digits} -> "
+                f"Z/{self.p}^{self.codomain_digits} cannot give Z/{self.p}^"
+                f"{domain_digits} -> Z/{self.p}^{codomain_digits}"
+            )
+        modulus = self.p ** codomain_digits
+        table = tuple(v % modulus for v in self.table[: self.p ** domain_digits])
+        return _level(self.p, domain_digits, codomain_digits, table)
+
+
+def _level(p: int, domain_digits: int, codomain_digits: int, table) -> ReducedLevelMap:
+    form = "endomap" if domain_digits == codomain_digits else "census"
+    return ReducedLevelMap(p, domain_digits, codomain_digits, table, form)
+
+
+def reduced_map(
+    e: MapExpr, p: int, domain_digits: int, codomain_digits: int, budget: int | None = None
+) -> ReducedLevelMap:
+    """The map on Z/p**domain_digits, reduced mod p**codomain_digits; every
+    oracle table is this one or a ``restrict`` of it."""
+    table = tabulate(e, p, p ** domain_digits, codomain_digits, budget)
+    return _level(p, domain_digits, codomain_digits, table)
+
 
 def level_map(
     e: MapExpr, p: int, n: int, k: int, budget: int | None = None
@@ -73,29 +98,14 @@ def level_map(
         raise ValueError("level width n must be >= 1")
     if k < 2:
         raise ValueError("census form needs k >= 2")
-    size = p ** (n * k)
-    _check_budget(size, budget)
-    bound = lookahead_bound(e, p)
-    k_in = n * k + bound
-    out_mod = p ** (n * (k - 1))
-    table = tuple(
-        eval_map(e, PadicApprox(p, k_in, i)).residue % out_mod for i in range(size)
-    )
-    return ReducedLevelMap(p, n * k, n * (k - 1), table, "census")
+    return reduced_map(e, p, n * k, n * (k - 1), budget)
 
 
 def padded_endomap(e: MapExpr, p: int, m: int, budget: int | None = None) -> ReducedLevelMap:
     """The map folded onto Z/p**m via the zero-padded lift."""
     if m < 1:
         raise ValueError("digit count must be >= 1")
-    size = p ** m
-    _check_budget(size, budget)
-    bound = lookahead_bound(e, p)
-    k_in = m + bound
-    table = tuple(
-        eval_map(e, PadicApprox(p, k_in, i)).residue % size for i in range(size)
-    )
-    return ReducedLevelMap(p, m, m, table, "endomap")
+    return reduced_map(e, p, m, m, budget)
 
 
 @dataclass(frozen=True)
@@ -251,13 +261,20 @@ class PlotSet:
             merged |= pts
         return frozenset(merged)
 
-    def merged(self, other: PlotSet) -> PlotSet:
-        if (self.p, self.n) != (other.p, other.n):
-            raise ValueError("plot sets disagree on p or n")
-        levels = dict(self.levels)
-        for k, pts in other.levels.items():
-            levels[k] = levels.get(k, frozenset()) | pts
-        return PlotSet(self.p, self.n, levels)
+
+def plot_levels(m: ReducedLevelMap, n: int, k_values) -> PlotSet:
+    """Plot levels read off one table: level k is the point set of
+    ``m.restrict(n + k, k)``, so m must cover Z/p**(n+k) -> Z/p**k."""
+    if n < 1:
+        raise ValueError("level width n must be >= 1")
+    levels = {}
+    for k in k_values:
+        level = m.restrict(n + k, k)
+        size, y_mod = m.p ** (n + k), m.p ** k
+        levels[k] = frozenset(
+            (Fraction(x, size), Fraction(y, y_mod)) for x, y in enumerate(level.table)
+        )
+    return PlotSet(m.p, n, levels)
 
 
 def plot_points(
@@ -267,26 +284,16 @@ def plot_points(
     residues x mod p**(n+k), duplicates collapsed."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    bound = lookahead_bound(e, p)
-    size = p ** (n + k)
-    _check_budget(p ** (n + k + bound), budget)
-    k_in = n + k + bound
-    y_mod = p ** k
-    pts = set()
-    for x in range(size):
-        y = eval_map(e, PadicApprox(p, k_in, x)).residue % y_mod
-        pts.add((Fraction(x, size), Fraction(y, y_mod)))
-    return PlotSet(p, n, {k: frozenset(pts)})
+    return plot_levels(reduced_map(e, p, n + k, k, budget), n, (k,))
 
 
 def accumulate_plot(
     e: MapExpr, p: int, n: int, k_max: int, budget: int | None = None
 ) -> PlotSet:
-    """Union of the plots for k = 1..k_max."""
-    ps = plot_points(e, p, n, 1, budget)
-    for k in range(2, k_max + 1):
-        ps = ps.merged(plot_points(e, p, n, k, budget))
-    return ps
+    """Union of the plots for k = 1..k_max, all read off the level-k_max table."""
+    if n < 1 or k_max < 1:
+        raise ValueError("need n >= 1 and k_max >= 1")
+    return plot_levels(reduced_map(e, p, n + k_max, k_max, budget), n, range(1, k_max + 1))
 
 
 @dataclass(frozen=True)

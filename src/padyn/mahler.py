@@ -9,10 +9,10 @@ polynomial, in which case the verdict is total.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .mapdsl import MapExpr, binomial_degree, eval_map, lookahead_bound
-from .padic import PadicApprox, Valuation, binomial_eval, residue_valuation
+from .mapdsl import MapExpr, binomial_degree, tabulate
+from .padic import Valuation, binomial_eval, residue_valuation
 
 __all__ = [
     "MahlerCoeffs",
@@ -133,13 +133,6 @@ class Verdict:
         }
 
 
-def _digit_length(value: int, p: int) -> int:
-    length = 1
-    while p ** length <= value:
-        length += 1
-    return length
-
-
 def mahler_coeffs(e: MapExpr, p: int, max_index: int, precision: int) -> MahlerCoeffs:
     """Coefficients a_0..a_max_index via the exact forward-difference table.
 
@@ -150,13 +143,8 @@ def mahler_coeffs(e: MapExpr, p: int, max_index: int, precision: int) -> MahlerC
         raise ValueError("max_index must be >= 0")
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    bound = lookahead_bound(e, p)
-    k_in = precision + bound + _digit_length(max(max_index, 1), p)
     modulus = p ** precision
-    row = [
-        eval_map(e, PadicApprox(p, k_in, i)).residue % modulus
-        for i in range(max_index + 1)
-    ]
+    row = tabulate(e, p, max_index + 1, precision)
     coeffs = [row[0]]
     for _ in range(max_index):
         row = [(row[i + 1] - row[i]) % modulus for i in range(len(row) - 1)]
@@ -203,20 +191,9 @@ class _Scan:
             )
 
     def verdict(self, total: bool = False, note: str = "") -> Verdict:
-        if self.violation is not None:
-            return Verdict(
-                "violated_at",
-                self.violation.bound,
-                self.violation.m,
-                self.violation.condition,
-                self.violation.observed,
-                self.violation.definitive,
-                note=note,
-            )
-        if self.undecided is not None:
-            return Verdict.undecidable(
-                self.undecided.bound, self.undecided.m, self.undecided.condition, note=note
-            )
+        found = self.violation or self.undecided
+        if found is not None:
+            return replace(found, note=note)
         return Verdict.satisfied(self.c.max_index, total=total, note=note)
 
 

@@ -17,13 +17,11 @@ __all__ = [
     "PadicApprox",
     "Valuation",
     "PNorm",
-    "arith",
     "binomial_eval",
     "distance",
     "from_digits",
     "is_prime",
     "residue_valuation",
-    "sigma_shift",
 ]
 
 
@@ -220,22 +218,6 @@ def from_digits(digits, p: int) -> PadicApprox:
     for d in reversed(digits):
         residue = residue * p + d
     return PadicApprox(p, len(digits), residue)
-
-
-def arith(op: str, x: PadicApprox, y: PadicApprox) -> PadicApprox:
-    """Ring operation ('add', 'sub' or 'mul') at the common precision."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def sigma_shift(x: PadicApprox, n: int) -> PadicApprox:
-    """The n-fold digit shift; on integer representatives, floor(x / p**n)."""
-    return x.sigma(n)
 
 
 def distance(x: PadicApprox, y: PadicApprox) -> PNorm:

@@ -5,7 +5,6 @@ from conftest import IDENTITY_FILE, SHIFT1_FILE, XOR_PREV_FILE
 from padyn.automata import (
     check_nondegenerate,
     guaranteed_output_length,
-    induced_map,
     make_shift_automaton,
     max_output_deficit,
     parse_automaton,
@@ -17,7 +16,8 @@ from padyn.errors import (
     PrecisionError,
     UnboundedLookaheadError,
 )
-from padyn.padic import PadicApprox, distance, sigma_shift
+from padyn.mapdsl import AutoApply, Var, eval_map
+from padyn.padic import PadicApprox, distance
 
 
 def all_empty_machine():
@@ -180,19 +180,24 @@ def test_max_output_deficit_unbounded():
 # --- induced maps ------------------------------------------------------------
 
 
+def induced(machine):
+    """The map x -> machine(x), evaluated at the precision it certifies."""
+    return AutoApply("<machine>", machine, max_output_deficit(machine), Var())
+
+
 def test_induced_identity():
-    out = induced_map(make_shift_automaton(0, 2), PadicApprox(2, 4, 11))
+    out = eval_map(induced(make_shift_automaton(0, 2)), PadicApprox(2, 4, 11))
     assert (out.residue, out.precision) == (11, 4)
 
 
 def test_induced_shift():
-    out = induced_map(make_shift_automaton(1, 2), PadicApprox(2, 4, 11))
+    out = eval_map(induced(make_shift_automaton(1, 2)), PadicApprox(2, 4, 11))
     assert (out.residue, out.precision) == (5, 3)
 
 
 def test_induced_precision_exhausted():
     with pytest.raises(PrecisionError):
-        induced_map(make_shift_automaton(2, 2), PadicApprox(2, 2, 3))
+        eval_map(induced(make_shift_automaton(2, 2)), PadicApprox(2, 2, 3))
 
 
 def test_widening_outputs():
@@ -202,24 +207,26 @@ def test_widening_outputs():
     )
     assert max_output_deficit(machine) == 0
     assert guaranteed_output_length(machine, 3) == 6
-    out = induced_map(machine, PadicApprox(2, 3, 0b101))
+    assert run(machine, [1, 0, 1]).output == (1, 1, 0, 0, 1, 1)
+    # the six widened digits of 0b101, certified once the input has six
+    out = eval_map(induced(machine), PadicApprox(2, 6, 0b101))
     assert (out.residue, out.precision) == (0b110011, 6)
 
 
 @pytest.mark.parametrize("p, kmax", [(2, 12), (3, 7)])
 def test_induced_shift_equals_sigma(p, kmax):
     for n in (0, 1, 2):
-        machine = make_shift_automaton(n, p)
+        e = induced(make_shift_automaton(n, p))
         for K in range(n + 1, kmax + 1):
             for r in range(p**K):
                 x = PadicApprox(p, K, r)
-                assert induced_map(machine, x) == sigma_shift(x, n)
+                assert eval_map(e, x) == x.sigma(n)
 
 
 def test_synchronous_induced_map_is_one_lipschitz():
     machine = parse_automaton(XOR_PREV_FILE)
     K = 6
-    images = [induced_map(machine, PadicApprox(2, K, r)) for r in range(2**K)]
+    images = [eval_map(induced(machine), PadicApprox(2, K, r)) for r in range(2**K)]
     for a in range(2**K):
         for b in range(a + 1, 2**K):
             x, y = PadicApprox(2, K, a), PadicApprox(2, K, b)

@@ -4,7 +4,9 @@ import pytest
 
 from conftest import SHIFT1_FILE
 
+from padyn import mapdsl
 from padyn.cli import render_report, run_command
+from padyn.mahler import Verdict
 
 
 REPORT_KEYS = {"config", "coefficients", "verdicts", "census", "cycles", "plotset", "timing"}
@@ -42,6 +44,13 @@ def test_unknown_subcommand_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("subcommand", ["preimages", "cycles", "plotset", "analyze"])
+@pytest.mark.parametrize("n", ["0", "-4"])
+def test_oracles_reject_nonpositive_level_width(subcommand, n, capsys):
+    code, _ = run_command([subcommand, "--map", "x+1", "--kmax", "3", "--n", n])
+    assert code == 2
+
+
 def test_budget_exhaustion_exits_three(capsys):
     code, _ = run_command(["cycles", "--map", "x", "--kmax", "12", "--budget", "100"])
     assert code == 3
@@ -55,6 +64,64 @@ def test_budget_env_override(monkeypatch, capsys):
     monkeypatch.delenv("PADYN_BUDGET")
     code, _ = run_command(["cycles", "--map", "x", "--kmax", "12"])
     assert code == 0
+
+
+@pytest.mark.parametrize("kmax, code", [(11, 0), (12, 3)])
+def test_plotset_budget_counts_enumerated_points(kmax, code, capsys):
+    # level kmax enumerates 2^(1 + kmax) points; the lookahead is not charged
+    got, _ = run_command(
+        ["plotset", "--map", "sigma(x)", "--kmax", str(kmax), "--budget", "4096"]
+    )
+    assert got == code
+
+
+@pytest.mark.parametrize("p, n, kmax", [(2, 1, 5), (3, 2, 2), (2, 3, 2)])
+def test_analyze_budget_is_its_table_size(p, n, kmax, capsys):
+    size = max(p ** (n * kmax), p ** (n + kmax))
+    argv = [
+        "analyze", "--p", str(p), "--n", str(n), "--kmax", str(kmax),
+        "--mmax", "16", "--map", "sigma(x^2+x+1)", "--budget",
+    ]
+    assert run_command(argv + [str(size)])[0] == 0
+    assert run_command(argv + [str(size - 1)])[0] == 3
+    assert f"enumeration of {size} entries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "p, n, kmax, map_text",
+    [
+        (2, 1, 6, "sigma(x^2+x+1)"),
+        (3, 1, 3, "C(x,3)+x"),
+        (2, 2, 3, "x^2+x+1"),
+        (2, 1, 5, 'auto("{aut}")(x)+1'),
+    ],
+)
+def test_analyze_evaluates_each_point_once(monkeypatch, shift1_path, p, n, kmax, map_text):
+    calls = 0
+    evaluate = mapdsl.eval_map
+
+    def counting(e, x):
+        nonlocal calls
+        calls += 1
+        return evaluate(e, x)
+
+    monkeypatch.setattr(mapdsl, "eval_map", counting)
+    mmax = 20
+    code, _ = run_command(
+        [
+            "analyze", "--p", str(p), "--n", str(n), "--kmax", str(kmax),
+            "--mmax", str(mmax), "--map", map_text.format(aut=shift1_path),
+        ]
+    )
+    assert code == 0
+    assert calls == max(p ** (n * kmax), p ** (n + kmax)) + mmax + 1
+
+
+def test_missing_automaton_in_map_is_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing.aut"
+    code, _ = run_command(["mahler", "--map", f'auto("{missing}")(x)'])
+    assert code == 2
+    assert str(missing) in capsys.readouterr().err
 
 
 def test_verdicts_are_not_failures():
@@ -140,6 +207,22 @@ def test_json_determinism(tmp_path):
         data.pop("timing")
         blobs.append(json.dumps(data, sort_keys=True))
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["check", "cs-ergodic", "--map", "mahler[0,0,1](x)", "--mmax", "8"], "satisfied_up_to"),
+        (["check", "lipschitz-ergodic", "--map", "3*x+1"], "violated_at"),
+        (["check", "lipschitz-mp", "--map", "x", "--K", "1"], "undecidable_at"),
+    ],
+)
+def test_verdict_text_line_is_verdict_str(argv, kind, capsys):
+    code, report = run_command(argv)
+    assert code == 0
+    ((name, data),) = report["verdicts"].items()
+    assert data["kind"] == kind
+    assert f"  {name}: {Verdict(**data)}" in capsys.readouterr().out.splitlines()
 
 
 def test_render_report_rejects_unknown_format():

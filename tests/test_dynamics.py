@@ -12,11 +12,13 @@ from padyn.dynamics import (
     padded_endomap,
     plot_points,
     preimage_census,
+    reduced_map,
     to_csv,
     to_pgm,
 )
 from padyn.errors import BudgetError
-from padyn.mapdsl import parse_map
+from padyn.mapdsl import eval_map, lookahead_bound, parse_map
+from padyn.padic import PadicApprox
 
 
 # --- level maps ---------------------------------------------------------------
@@ -45,6 +47,31 @@ def test_level_map_needs_census_depth():
 def test_level_map_budget():
     with pytest.raises(BudgetError):
         level_map(parse_map("x"), 2, 1, 8, budget=10)
+
+
+@pytest.mark.parametrize("p, top_digits", [(2, 6), (3, 4)])
+def test_restrict_matches_direct_evaluation(corpus_texts, p, top_digits):
+    # reference: each residue evaluated on its own, at L + domain digits
+    for text in corpus_texts:
+        e = parse_map(text)
+        bound = lookahead_bound(e, p)
+        top = reduced_map(e, p, top_digits, top_digits - 1)
+        for d in range(1, top_digits + 1):
+            for c in range(1, min(d, top_digits - 1) + 1):
+                direct = tuple(
+                    eval_map(e, PadicApprox(p, d + bound, i)).residue % p**c
+                    for i in range(p**d)
+                )
+                lm = top.restrict(d, c)
+                assert lm.table == direct, (text, d, c)
+                assert lm.form == ("endomap" if c == d else "census")
+
+
+def test_restrict_refuses_digits_the_table_lacks():
+    top = padded_endomap(parse_map("x+1"), 2, 3)
+    for d, c in ((4, 3), (3, 4), (0, 1), (1, 0)):
+        with pytest.raises(ValueError):
+            top.restrict(d, c)
 
 
 # --- censuses ---------------------------------------------------------------
@@ -185,6 +212,21 @@ def test_plot_point_count_bound(corpus_texts):
         for k in (1, 2, 3):
             ps = plot_points(parse_map(text), 2, 1, k)
             assert len(ps.points) <= 2 ** (1 + k)
+
+
+def test_accumulated_levels_equal_single_level_plots():
+    e = parse_map("C(x,3)+sigma(x)")
+    ps = accumulate_plot(e, 3, 1, 3)
+    assert ps.k_values == (1, 2, 3)
+    for k in ps.k_values:
+        assert ps.levels[k] == plot_points(e, 3, 1, k).levels[k]
+
+
+def test_plot_points_budget_counts_enumerated_points():
+    e = parse_map("sigma(x)")  # lookahead 1 is not charged
+    assert len(plot_points(e, 2, 1, 3, budget=16).levels[3]) <= 16
+    with pytest.raises(BudgetError):
+        plot_points(e, 2, 1, 3, budget=15)
 
 
 def test_plot_denominators_divide_the_level_moduli():

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import SHIFT1_FILE
 
-from padyn.errors import BudgetError, MapSyntaxError, PrecisionError
+from padyn.errors import AutomatonFormatError, BudgetError, MapSyntaxError, PrecisionError
 from padyn.mapdsl import (
     Add,
     AutoApply,
@@ -49,6 +49,12 @@ def test_parse_auto(shift1_path):
     e = parse_map(f'auto("{shift1_path}")(x)')
     assert isinstance(e, AutoApply)
     assert e.deficit == 1
+
+
+def test_parse_auto_missing_file(tmp_path):
+    missing = tmp_path / "missing.aut"
+    with pytest.raises(AutomatonFormatError, match="missing.aut"):
+        parse_map(f'auto("{missing}")(x)')
 
 
 @pytest.mark.parametrize(
@@ -163,20 +169,21 @@ def test_eval_auto_composes_with_sigma(shift1_path):
 
 
 def test_tabulate_increment():
-    assert tabulate(parse_map("x+1"), 2, 2) == [1, 2, 3, 0]
+    assert tabulate(parse_map("x+1"), 2, 4, 2) == (1, 2, 3, 0)
 
 
 def test_tabulate_shift():
-    assert tabulate(parse_map("sigma(x)"), 2, 2) == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert tabulate(parse_map("sigma(x)"), 2, 8, 2) == (0, 0, 1, 1, 2, 2, 3, 3)
 
 
 def test_tabulate_square():
-    assert tabulate(parse_map("x^2"), 2, 2) == [0, 1, 0, 1]
+    assert tabulate(parse_map("x^2"), 2, 4, 2) == (0, 1, 0, 1)
 
 
 def test_tabulate_budget():
     with pytest.raises(BudgetError):
-        tabulate(parse_map("x"), 2, 8, budget=100)
+        tabulate(parse_map("x"), 2, 2**8, 8, budget=100)
+    assert len(tabulate(parse_map("x"), 2, 100, 8, budget=100)) == 100
 
 
 def test_polynomial_tables_are_one_lipschitz(corpus_texts):
@@ -185,7 +192,7 @@ def test_polynomial_tables_are_one_lipschitz(corpus_texts):
         e = parse_map(text)
         if lookahead_bound(e, 2) != 0:
             continue
-        table = tabulate(e, 2, 5)
+        table = tabulate(e, 2, 32, 5)
         for a in range(32):
             for b in range(a + 1, 32):
                 agree = ((a ^ b) & -(a ^ b)).bit_length() - 1  # lowest differing bit

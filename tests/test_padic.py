@@ -7,12 +7,10 @@ from padyn.errors import PrecisionError
 from padyn.padic import (
     PadicApprox,
     Valuation,
-    arith,
     binomial_eval,
     distance,
     from_digits,
     is_prime,
-    sigma_shift,
 )
 
 
@@ -92,14 +90,14 @@ def test_reduce_beyond_precision():
 def test_arith_examples():
     a = PadicApprox(2, 3, 3)
     b = PadicApprox(2, 3, 5)
-    assert arith("add", a, b).residue == 0
-    assert arith("sub", PadicApprox(2, 3, 1), PadicApprox(2, 3, 2)).residue == 7
-    assert arith("mul", PadicApprox(2, 3, 2), PadicApprox(2, 3, 3)).residue == 6
+    assert (a + b).residue == 0
+    assert (PadicApprox(2, 3, 1) - PadicApprox(2, 3, 2)).residue == 7
+    assert (PadicApprox(2, 3, 2) * PadicApprox(2, 3, 3)).residue == 6
 
 
 def test_arith_mismatched_primes():
     with pytest.raises(ValueError):
-        arith("add", PadicApprox(2, 3, 1), PadicApprox(3, 3, 1))
+        PadicApprox(2, 3, 1) + PadicApprox(3, 3, 1)
 
 
 def test_arith_precision_is_minimum():
@@ -112,13 +110,13 @@ def test_arith_precision_is_minimum():
     [(11, 2, 4, 1, 5, 3), (11, 2, 4, 0, 11, 4), (5, 3, 2, 1, 1, 1)],
 )
 def test_sigma_shift(residue, p, K, n, expected, k_out):
-    out = sigma_shift(PadicApprox(p, K, residue), n)
+    out = PadicApprox(p, K, residue).sigma(n)
     assert out.residue == expected and out.precision == k_out
 
 
 def test_sigma_shift_exhausts_precision():
     with pytest.raises(PrecisionError):
-        sigma_shift(PadicApprox(2, 4, 11), 4)
+        PadicApprox(2, 4, 11).sigma(4)
 
 
 # --- valuation, norm, units ---------------------------------------------
@@ -217,10 +215,8 @@ def test_shift_digit_identity(p, kmax):
     for K in range(2, kmax + 1):
         for r in range(p**K):
             x = PadicApprox(p, K, r)
-            lhs = arith(
-                "add",
-                PadicApprox.from_int(x.digit(0), p, K - 1),
-                arith("mul", PadicApprox.from_int(p, p, K - 1), x.sigma(1)),
+            lhs = PadicApprox.from_int(x.digit(0), p, K - 1) + (
+                PadicApprox.from_int(p, p, K - 1) * x.sigma(1)
             )
             assert lhs == x.reduce(K - 1)
 
@@ -231,6 +227,6 @@ def test_sigma_is_p_power_lipschitz(p, K):
         for a in range(p**K):
             for b in range(p**K):
                 x, y = PadicApprox(p, K, a), PadicApprox(p, K, b)
-                lhs = distance(sigma_shift(x, n), sigma_shift(y, n))
+                lhs = distance(x.sigma(n), y.sigma(n))
                 rhs = distance(x, y)
                 assert lhs.upper_bound <= p**n * rhs.upper_bound

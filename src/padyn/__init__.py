@@ -33,6 +33,7 @@ from .mapdsl import (
     DEFAULT_BUDGET,
     ComplexShiftDecomposition,
     MapExpr,
+    compile_map,
     decompose_complex_shift,
     eval_map,
     lookahead_bound,

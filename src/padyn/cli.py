@@ -30,7 +30,15 @@ from .padic import is_prime
 
 __all__ = ["main", "run_command", "render_report"]
 
-_CHECKS = ("lipschitz-mp", "lipschitz-ergodic", "cs", "cs-mp", "cs-ergodic", "bernoulli")
+# every theorem check by its CLI name; analyze runs all but the last, "bernoulli"
+_CHECKS = {
+    "lipschitz-mp": lambda c, args: mahler.check_lipschitz_mp(c),
+    "lipschitz-ergodic": lambda c, args: mahler.check_lipschitz_ergodic(c, args.strict_m1),
+    "cs": lambda c, args: mahler.check_complex_shift_bound(c, args.n),
+    "cs-mp": lambda c, args: mahler.check_cs_mp(c, args.n),
+    "cs-ergodic": lambda c, args: mahler.check_cs_ergodic(c, args.n),
+    "bernoulli": lambda c, args: mahler.check_bernoulli_properties(c, args.n),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -80,23 +88,15 @@ def _resolve_budget(args) -> int | None:
     return int(env) if env else None
 
 
+_ECHOED = (
+    "subcommand", "p", "K", "map", "file", "n", "mmax", "kmax", "grid", "budget", "strict_m1",
+    "json", "csv", "pgm",
+)
+
+
 def _config_echo(args, budget) -> dict:
-    cfg = {
-        "subcommand": args.subcommand,
-        "p": args.p,
-        "K": args.K,
-        "map": args.map,
-        "file": args.file,
-        "n": args.n,
-        "mmax": args.mmax,
-        "kmax": args.kmax,
-        "grid": args.grid,
-        "budget": budget,
-        "strict_m1": args.strict_m1,
-        "json": args.json,
-        "csv": args.csv,
-        "pgm": args.pgm,
-    }
+    cfg = {key: getattr(args, key) for key in _ECHOED}
+    cfg["budget"] = budget
     for extra in ("which", "action", "word", "x0", "steps", "m"):
         if hasattr(args, extra):
             cfg[extra] = getattr(args, extra)
@@ -109,10 +109,7 @@ def _get_expr(args):
     if args.map is not None:
         return parse_map(args.map)
     machine = automata.parse_automaton(Path(args.file).read_text())
-    verdict = automata.check_nondegenerate(machine)
-    if not verdict.nondegenerate:
-        raise DegenerateAutomatonError(f"degenerate at state {verdict.witness}")
-    return AutoApply(args.file, machine, automata.max_output_deficit(machine), Var())
+    return AutoApply.checked(args.file, machine, Var())
 
 
 def _coefficient_rows(coeffs: mahler.MahlerCoeffs) -> list[dict]:
@@ -182,8 +179,8 @@ def _plotset_section(top: dynamics.ReducedLevelMap, args) -> dict:
     return {
         "n": args.n,
         "k_max": args.kmax,
-        "points": len(ps.points),
-        "per_level": [{"k": k, "points": len(ps.levels[k])} for k in ps.k_values],
+        "points": len(ps.numerators),
+        "per_level": [{"k": k, "points": len(ps.level_numerators[k])} for k in ps.k_values],
         "box": [
             {
                 "grid": bc.grid,
@@ -243,7 +240,7 @@ def _dispatch(args, budget) -> dict:
     expr = _get_expr(args)
 
     if args.subcommand == "orbit":
-        result = dynamics.orbit(expr, args.p, args.x0, args.steps, args.m)
+        result = dynamics.orbit(expr, args.p, args.x0, args.steps, args.m, budget)
         report["cycles"].append(
             {
                 "kind": "orbit",
@@ -275,37 +272,19 @@ def _dispatch(args, budget) -> dict:
         report["plotset"] = _plotset_section(top, args)
         return report
 
-    coeffs = mahler.mahler_coeffs(expr, args.p, args.mmax, args.K)
+    coeffs = mahler.mahler_coeffs(expr, args.p, args.mmax, args.K, budget)
     report["coefficients"] = _coefficient_rows(coeffs)
 
     if args.subcommand == "mahler":
         return report
 
+    checks = [args.which] if args.subcommand == "check" else list(_CHECKS)[:-1]
+    for which in checks:
+        report["verdicts"][which.replace("-", "_")] = _CHECKS[which](coeffs, args).to_json()
     if args.subcommand == "check":
-        which = args.which
-        if which == "lipschitz-mp":
-            verdict = mahler.check_lipschitz_mp(coeffs)
-        elif which == "lipschitz-ergodic":
-            verdict = mahler.check_lipschitz_ergodic(coeffs, strict_m1=args.strict_m1)
-        elif which == "cs":
-            verdict = mahler.check_complex_shift_bound(coeffs, args.n)
-        elif which == "cs-mp":
-            verdict = mahler.check_cs_mp(coeffs, args.n)
-        elif which == "cs-ergodic":
-            verdict = mahler.check_cs_ergodic(coeffs, args.n)
-        else:
-            verdict = mahler.check_bernoulli_properties(coeffs, args.n)
-        report["verdicts"][which.replace("-", "_")] = verdict.to_json()
         return report
 
-    # analyze: every check plus the oracles
-    report["verdicts"]["lipschitz_mp"] = mahler.check_lipschitz_mp(coeffs).to_json()
-    report["verdicts"]["lipschitz_ergodic"] = mahler.check_lipschitz_ergodic(
-        coeffs, strict_m1=args.strict_m1
-    ).to_json()
-    report["verdicts"]["cs"] = mahler.check_complex_shift_bound(coeffs, args.n).to_json()
-    report["verdicts"]["cs_mp"] = mahler.check_cs_mp(coeffs, args.n).to_json()
-    report["verdicts"]["cs_ergodic"] = mahler.check_cs_ergodic(coeffs, args.n).to_json()
+    # analyze: the oracles read one table
     top = dynamics.reduced_map(expr, p, max(n * kmax, n + kmax), n * kmax, budget)
     report["census"] = _census_section(top, args)
     report["cycles"] = _cycles_section(top, args)

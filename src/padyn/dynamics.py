@@ -15,9 +15,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 
-from .mapdsl import MapExpr, eval_map, lookahead_bound, tabulate
-from .padic import PadicApprox
+from .mapdsl import MapExpr, _check_budget, compile_map, lookahead_bound, tabulate
 
 __all__ = [
     "BoxCount",
@@ -217,21 +218,24 @@ class OrbitResult:
     cycle_length: int | None = None
 
 
-def orbit(e: MapExpr, p: int, x0: int, steps: int, m: int) -> OrbitResult:
-    """Iterate the padded endomap from x0, re-padding after every step."""
+def orbit(
+    e: MapExpr, p: int, x0: int, steps: int, m: int, budget: int | None = None
+) -> OrbitResult:
+    """Iterate the padded endomap from x0, re-padding after every step;
+    the ``steps`` evaluations are charged to the budget."""
     if m < 1:
         raise ValueError("digit count must be >= 1")
     if not 0 <= x0 < p ** m:
         raise ValueError(f"start point {x0} outside Z/{p}^{m}")
-    bound = lookahead_bound(e, p)
-    k_in = m + bound
+    _check_budget(steps, budget)
+    f, _ = compile_map(e, p, m + lookahead_bound(e, p))
     modulus = p ** m
     points = [x0]
     first_seen = {x0: 0}
     cycle_start = cycle_length = None
     current = x0
     for _ in range(steps):
-        current = eval_map(e, PadicApprox(p, k_in, current)).residue % modulus
+        current = f(current) % modulus
         points.append(current)
         if cycle_start is None:
             if current in first_seen:
@@ -244,22 +248,49 @@ def orbit(e: MapExpr, p: int, x0: int, steps: int, m: int) -> OrbitResult:
 
 @dataclass(frozen=True)
 class PlotSet:
-    """Exact rational points of the unit-square plot, grouped by level."""
+    """Exact rational points of the unit-square plot, grouped by level.
+
+    Level k holds integer pairs (x, y) for the points (x / p**(n+k), y / p**k);
+    ``levels`` and ``points`` are the same sets as ``Fraction`` pairs.
+    """
 
     p: int
     n: int
-    levels: dict[int, frozenset[tuple[Fraction, Fraction]]]
+    level_numerators: dict[int, frozenset[tuple[int, int]]]
 
     @property
     def k_values(self) -> tuple[int, ...]:
-        return tuple(sorted(self.levels))
+        return tuple(sorted(self.level_numerators))
+
+    @property
+    def denominators(self) -> tuple[int, int]:
+        """(p**(n+kmax), p**kmax), the denominators of ``numerators``."""
+        k_max = max(self.level_numerators, default=0)
+        return self.p ** (self.n + k_max), self.p ** k_max
+
+    @cached_property
+    def numerators(self) -> frozenset[tuple[int, int]]:
+        """Every level merged over ``denominators``; at fixed denominators
+        the integer pairs sort as the rationals do."""
+        y_den = self.denominators[1]
+        merged: set[tuple[int, int]] = set()
+        for k, pts in self.level_numerators.items():
+            scale = y_den // self.p ** k
+            merged.update((x * scale, y * scale) for x, y in pts)
+        return frozenset(merged)
+
+    @property
+    def levels(self) -> dict[int, frozenset[tuple[Fraction, Fraction]]]:
+        p, n = self.p, self.n
+        return {k: _fractions(pts, p ** (n + k), p ** k) for k, pts in self.level_numerators.items()}
 
     @property
     def points(self) -> frozenset[tuple[Fraction, Fraction]]:
-        merged: set[tuple[Fraction, Fraction]] = set()
-        for pts in self.levels.values():
-            merged |= pts
-        return frozenset(merged)
+        return _fractions(self.numerators, *self.denominators)
+
+
+def _fractions(pts, x_den: int, y_den: int) -> frozenset[tuple[Fraction, Fraction]]:
+    return frozenset((Fraction(x, x_den), Fraction(y, y_den)) for x, y in pts)
 
 
 def plot_levels(m: ReducedLevelMap, n: int, k_values) -> PlotSet:
@@ -267,13 +298,7 @@ def plot_levels(m: ReducedLevelMap, n: int, k_values) -> PlotSet:
     ``m.restrict(n + k, k)``, so m must cover Z/p**(n+k) -> Z/p**k."""
     if n < 1:
         raise ValueError("level width n must be >= 1")
-    levels = {}
-    for k in k_values:
-        level = m.restrict(n + k, k)
-        size, y_mod = m.p ** (n + k), m.p ** k
-        levels[k] = frozenset(
-            (Fraction(x, size), Fraction(y, y_mod)) for x, y in enumerate(level.table)
-        )
+    levels = {k: frozenset(enumerate(m.restrict(n + k, k).table)) for k in k_values}
     return PlotSet(m.p, n, levels)
 
 
@@ -314,21 +339,22 @@ def box_count(ps: PlotSet, grid: int) -> BoxCount:
     """Fraction of grid cells containing at least one plot point.
 
     Cell assignment is exact: a point lands in cell floor(coord * grid),
-    computed on the rationals.
+    computed on its integer numerator over the common denominator.
     """
     if grid < 1:
         raise ValueError("grid size must be >= 1")
-    cells = set()
-    for x, y in ps.points:
-        cells.add((x.numerator * grid // x.denominator, y.numerator * grid // y.denominator))
-    return BoxCount(grid, frozenset(cells))
+    x_den, y_den = ps.denominators
+    cells = frozenset((x * grid // x_den, y * grid // y_den) for x, y in ps.numerators)
+    return BoxCount(grid, cells)
 
 
 def to_csv(ps: PlotSet) -> str:
-    """Deterministic point dump of the accumulated plot set."""
+    """Deterministic point dump of the accumulated plot set, in lowest terms."""
+    x_den, y_den = ps.denominators
     lines = ["xnum,xden,ynum,yden"]
-    for x, y in sorted(ps.points):
-        lines.append(f"{x.numerator},{x.denominator},{y.numerator},{y.denominator}")
+    for x, y in sorted(ps.numerators):
+        gx, gy = gcd(x, x_den), gcd(y, y_den)
+        lines.append(f"{x // gx},{x_den // gx},{y // gy},{y_den // gy}")
     return "\n".join(lines) + "\n"
 
 

@@ -9,7 +9,7 @@ polynomial, in which case the verdict is total.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .mapdsl import MapExpr, binomial_degree, tabulate
 from .padic import Valuation, binomial_eval, residue_valuation
@@ -121,30 +121,24 @@ class Verdict:
         return text
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "bound": self.bound,
-            "m": self.m,
-            "condition": self.condition,
-            "observed": self.observed,
-            "definitive": self.definitive,
-            "total": self.total,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
-def mahler_coeffs(e: MapExpr, p: int, max_index: int, precision: int) -> MahlerCoeffs:
+def mahler_coeffs(
+    e: MapExpr, p: int, max_index: int, precision: int, budget: int | None = None
+) -> MahlerCoeffs:
     """Coefficients a_0..a_max_index via the exact forward-difference table.
 
     The map is evaluated at the integer points 0..max_index with enough
-    input digits that each value is certified mod p**precision.
+    input digits that each value is certified mod p**precision; those
+    max_index + 1 points are charged to the budget.
     """
     if max_index < 0:
         raise ValueError("max_index must be >= 0")
     if precision < 1:
         raise ValueError("precision must be >= 1")
     modulus = p ** precision
-    row = tabulate(e, p, max_index + 1, precision)
+    row = tabulate(e, p, max_index + 1, precision, budget)
     coeffs = [row[0]]
     for _ in range(max_index):
         row = [(row[i + 1] - row[i]) % modulus for i in range(len(row) - 1)]

@@ -17,16 +17,19 @@ minus on factors; exponents and binomial lower indices stay unsigned.
 Evaluation is exact: the input is lifted to its unique zero-padded integer
 representative, the tree is computed over the integers (digit shifts are
 floor divisions, binomials are exact falling-factorial divisions), and the
-result is reduced to the precision the lookahead bound certifies.
+result is reduced to the precision the lookahead bound certifies.  Maps
+are compiled once (``compile_map``) into closures doing per-point work only.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import automata
-from .errors import AutomatonFormatError, BudgetError, MapSyntaxError, PrecisionError
-from .padic import PadicApprox, binomial_eval
+from .errors import AutomatonFormatError, BudgetError, DegenerateAutomatonError
+from .errors import MapSyntaxError, PrecisionError
+from .padic import PadicApprox, binomial_eval, is_prime
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -44,6 +47,7 @@ __all__ = [
     "AutoApply",
     "ComplexShiftDecomposition",
     "binomial_degree",
+    "compile_map",
     "decompose_complex_shift",
     "eval_map",
     "factorial_valuation",
@@ -123,6 +127,17 @@ class AutoApply:
     automaton: automata.Automaton
     deficit: int
     operand: "MapExpr"
+
+    @classmethod
+    def checked(cls, path: str, machine: automata.Automaton, operand: "MapExpr") -> AutoApply:
+        """Apply a loaded machine to operand; degenerate machines and ones
+        with unbounded lookahead are rejected."""
+        verdict = automata.check_nondegenerate(machine)
+        if not verdict.nondegenerate:
+            raise DegenerateAutomatonError(
+                f"automaton {path!r} is degenerate at state {verdict.witness}"
+            )
+        return cls(path, machine, automata.max_output_deficit(machine), operand)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AutoApply):
@@ -307,13 +322,10 @@ class _Parser:
                 e = self.expr()
                 self.expect_sym(")")
                 machine = self.load_automaton(path)
-                verdict = automata.check_nondegenerate(machine)
-                if not verdict.nondegenerate:
-                    raise MapSyntaxError(
-                        f"automaton {path!r} is degenerate at state {verdict.witness}",
-                        position=pat,
-                    )
-                return AutoApply(path, machine, automata.max_output_deficit(machine), e)
+                try:
+                    return AutoApply.checked(path, machine, e)
+                except DegenerateAutomatonError as exc:
+                    raise MapSyntaxError(str(exc), position=pat) from None
             raise MapSyntaxError(f"unknown identifier {value!r}", position=at)
         raise MapSyntaxError("expected an expression", position=at)
 
@@ -392,6 +404,13 @@ def factorial_valuation(m: int, p: int) -> int:
     return total
 
 
+def _series_drop(coeffs: tuple[int, ...], p: int) -> int:
+    """Digits a Mahler series spends on its binomial denominators."""
+    return max(
+        (factorial_valuation(m, p) for m, a in enumerate(coeffs) if a != 0), default=0
+    )
+
+
 def lookahead_bound(e: MapExpr, p: int) -> int:
     """A certified bound L: inputs equal mod p**(k+L) give outputs equal
     mod p**k.  Polynomial expressions get 0; digit shifts and binomial
@@ -409,11 +428,7 @@ def lookahead_bound(e: MapExpr, p: int) -> int:
     if isinstance(e, Binom):
         return lookahead_bound(e.operand, p) + factorial_valuation(e.lower, p)
     if isinstance(e, MahlerLit):
-        worst = max(
-            (factorial_valuation(m, p) for m, a in enumerate(e.coeffs) if a != 0),
-            default=0,
-        )
-        return lookahead_bound(e.operand, p) + worst
+        return lookahead_bound(e.operand, p) + _series_drop(e.coeffs, p)
     if isinstance(e, AutoApply):
         return lookahead_bound(e.operand, p) + e.deficit
     raise TypeError(f"not a map expression: {e!r}")
@@ -453,64 +468,91 @@ def binomial_degree(e: MapExpr) -> int | None:
 # --- evaluation --------------------------------------------------------
 
 
-def _eval(e: MapExpr, lift: int, precision: int, p: int, cap: int) -> tuple[int, int]:
-    """Return (value, certified digit count); constants count as ``cap``."""
+def _compile(e: MapExpr, p: int, precision: int, cap: int) -> tuple[Callable[[int], int], int]:
+    """Return (fn, certified digits): fn(lift) is the exact value of e at
+    ``lift``; constants count as ``cap`` digits.  The digit count does not
+    depend on ``lift``, so every precision check is made here, once."""
     if isinstance(e, Const):
-        return e.value, cap
+        value = e.value
+        return (lambda x: value), cap
     if isinstance(e, Var):
-        return lift, precision
+        return (lambda x: x), precision
     if isinstance(e, Neg):
-        v, k = _eval(e.operand, lift, precision, p, cap)
-        return -v, k
+        f, k = _compile(e.operand, p, precision, cap)
+        return (lambda x: -f(x)), k
     if isinstance(e, (Add, Sub, Mul)):
-        lv, lk = _eval(e.left, lift, precision, p, cap)
-        rv, rk = _eval(e.right, lift, precision, p, cap)
+        lf, lk = _compile(e.left, p, precision, cap)
+        rf, rk = _compile(e.right, p, precision, cap)
         k = min(lk, rk)
         if isinstance(e, Add):
-            return lv + rv, k
+            return (lambda x: lf(x) + rf(x)), k
         if isinstance(e, Sub):
-            return lv - rv, k
-        return lv * rv, k
+            return (lambda x: lf(x) - rf(x)), k
+        return (lambda x: lf(x) * rf(x)), k
     if isinstance(e, Pow):
-        v, k = _eval(e.base, lift, precision, p, cap)
-        return v ** e.exponent, k
+        f, k = _compile(e.base, p, precision, cap)
+        exponent = e.exponent
+        return (lambda x: f(x) ** exponent), k
     if isinstance(e, Sigma):
-        v, k = _eval(e.operand, lift, precision, p, cap)
+        f, k = _compile(e.operand, p, precision, cap)
         if k - e.shifts < 1:
             raise PrecisionError("digit shift exhausts working precision")
-        return v // p ** e.shifts, k - e.shifts
+        divisor = p ** e.shifts
+        return (lambda x: f(x) // divisor), k - e.shifts
     if isinstance(e, Binom):
-        v, k = _eval(e.operand, lift, precision, p, cap)
+        f, k = _compile(e.operand, p, precision, cap)
         drop = factorial_valuation(e.lower, p)
         if k - drop < 1:
             raise PrecisionError("binomial denominator exhausts working precision")
-        return binomial_eval(v, e.lower), k - drop
+        lower = e.lower
+        return (lambda x: binomial_eval(f(x), lower)), k - drop
     if isinstance(e, MahlerLit):
-        v, k = _eval(e.operand, lift, precision, p, cap)
-        drop = max(
-            (factorial_valuation(m, p) for m, a in enumerate(e.coeffs) if a != 0),
-            default=0,
-        )
+        f, k = _compile(e.operand, p, precision, cap)
+        drop = _series_drop(e.coeffs, p)
         if k - drop < 1:
             raise PrecisionError("series denominators exhaust working precision")
-        total = sum(a * binomial_eval(v, m) for m, a in enumerate(e.coeffs))
-        return total, k - drop
+        terms = tuple((m, a) for m, a in enumerate(e.coeffs) if a != 0)
+
+        def series(x: int) -> int:
+            v = f(x)
+            return sum(a * binomial_eval(v, m) for m, a in terms)
+
+        return series, k - drop
     if isinstance(e, AutoApply):
         machine = e.automaton
         if machine.p != p:
             raise ValueError(f"automaton expects p={machine.p}, map evaluated at p={p}")
-        v, k = _eval(e.operand, lift, precision, p, cap)
-        rep = v % p ** k
-        word = [(rep // p ** i) % p for i in range(k)]
+        f, k = _compile(e.operand, p, precision, cap)
         certain = automata.guaranteed_output_length(machine, k)
         if certain < 1:
             raise PrecisionError("automaton output exhausts working precision")
-        trace = automata.run(machine, word)
-        value = 0
-        for d in reversed(trace.output[:certain]):
-            value = value * p + d
-        return value, certain
+        powers = [p ** i for i in range(k)]
+
+        def transduce(x: int) -> int:
+            rep = f(x)
+            word = [rep // q % p for q in powers]
+            value = 0
+            for digit in reversed(automata.run(machine, word).output[:certain]):
+                value = value * p + digit
+            return value
+
+        return transduce, certain
     raise TypeError(f"not a map expression: {e!r}")
+
+
+def compile_map(e: MapExpr, p: int, precision: int) -> tuple[Callable[[int], int], int]:
+    """Compile e for inputs known to ``precision`` digits: returns (f, k),
+    f(lift) the exact value at a zero-padded lift 0 <= lift < p**precision,
+    certified mod p**k, k = precision - L for L the lookahead bound.  The
+    bound, precision checks, factorial valuations, shift divisors and
+    automaton output lengths are all worked out here, once per map."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    bound = lookahead_bound(e, p)
+    if precision <= bound:
+        raise PrecisionError(f"need more than {bound} input digits, have {precision}")
+    f, _ = _compile(e, p, precision, precision + bound)
+    return f, precision - bound
 
 
 def eval_map(e: MapExpr, x: PadicApprox) -> PadicApprox:
@@ -518,16 +560,10 @@ def eval_map(e: MapExpr, x: PadicApprox) -> PadicApprox:
 
     The value is computed exactly over the integers on the zero-padded
     lift of x, then reduced; the reported digits never depend on the
-    choice of lift.
+    choice of lift.  It is a one-point ``compile_map``.
     """
-    bound = lookahead_bound(e, x.p)
-    if x.precision <= bound:
-        raise PrecisionError(
-            f"need more than {bound} input digits, have {x.precision}"
-        )
-    k_out = x.precision - bound
-    value, _ = _eval(e, x.residue, x.precision, x.p, x.precision + bound)
-    return PadicApprox(x.p, k_out, value % x.p ** k_out)
+    f, k_out = compile_map(e, x.p, x.precision)
+    return PadicApprox(x.p, k_out, f(x.residue) % x.p ** k_out)
 
 
 def _check_budget(entries: int, budget: int | None) -> None:
@@ -551,18 +587,17 @@ def tabulate(
 
     This is the one enumeration of a map over residues: every oracle
     slices and reduces a table made here, and its ``size`` entries are
-    what the budget is charged for.  Inputs carry L + max(digits, digit
-    length of size - 1) digits, L the lookahead bound, which certifies
-    ``digits`` output digits at every point.
+    what the budget is charged for.  The map is compiled once for inputs
+    of L + max(digits, digit length of size - 1) digits, L the lookahead
+    bound, which certifies ``digits`` output digits at every point.
     """
     if size < 1 or digits < 1:
         raise ValueError("need a table size >= 1 and an output digit count >= 1")
     _check_budget(size, budget)
     k_in = lookahead_bound(e, p) + max(digits, _digit_length(size - 1, p))
+    f, _ = compile_map(e, p, k_in)
     modulus = p ** digits
-    return tuple(
-        eval_map(e, PadicApprox(p, k_in, i)).residue % modulus for i in range(size)
-    )
+    return tuple(f(i) % modulus for i in range(size))
 
 
 def step_order(table, p: int) -> int:
@@ -629,32 +664,23 @@ def decompose_complex_shift(
     block = p ** n
     f_table = tabulate(e, p, p ** (n + depth), n + depth, budget)
     t_table = f_table[:block]
-    log = [f"T extracted on Z/{p}^{n}: {list(t_table)}"]
-
-    witness = None
-    for z in range(block):
-        if witness:
-            break
-        for j in range(1, depth + 1):
-            seen: dict[int, tuple[int, int]] = {}
-            for t in range(p ** depth):
-                g = (f_table[z + block * t] - t_table[z]) % p ** j
-                key = t % p ** j
-                if key in seen:
-                    if seen[key][0] != g:
-                        witness = (z, seen[key][1], t, j)
-                        break
-                else:
-                    seen[key] = (g, t)
-            if witness:
-                break
+    # G_z is 1-Lipschitz at depth j iff G_z(t) = G_z(t mod p**j) mod p**j for all t
+    witness = next(
+        (
+            (z, t % p ** j, t, j)
+            for z in range(block)
+            for j in range(1, depth + 1)
+            for t in range(p ** depth)
+            if (f_table[z + block * t] - f_table[z + block * (t % p ** j)]) % p ** j
+        ),
+        None,
+    )
     if witness:
         z, t0, t1, j = witness
-        log.append(
-            f"G_z 1-Lipschitz sweep: FAIL at z={z}, t={t0} vs t'={t1} mod {p}^{j}"
-        )
+        sweep = f"G_z 1-Lipschitz sweep: FAIL at z={z}, t={t0} vs t'={t1} mod {p}^{j}"
     else:
-        log.append(f"G_z 1-Lipschitz sweep at depth {depth}: pass")
+        sweep = f"G_z 1-Lipschitz sweep at depth {depth}: pass"
+    log = [f"T extracted on Z/{p}^{n}: {list(t_table)}", sweep]
     return ComplexShiftDecomposition(
         p=p,
         n=n,

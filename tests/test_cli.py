@@ -97,15 +97,21 @@ def test_analyze_budget_is_its_table_size(p, n, kmax, capsys):
     ],
 )
 def test_analyze_evaluates_each_point_once(monkeypatch, shift1_path, p, n, kmax, map_text):
+    # counts the points every compiled kernel is called on, whoever compiled it
     calls = 0
-    evaluate = mapdsl.eval_map
+    compile_map = mapdsl.compile_map
 
-    def counting(e, x):
-        nonlocal calls
-        calls += 1
-        return evaluate(e, x)
+    def counting_compile(e, p, precision):
+        f, k = compile_map(e, p, precision)
 
-    monkeypatch.setattr(mapdsl, "eval_map", counting)
+        def counting(lift):
+            nonlocal calls
+            calls += 1
+            return f(lift)
+
+        return counting, k
+
+    monkeypatch.setattr(mapdsl, "compile_map", counting_compile)
     mmax = 20
     code, _ = run_command(
         [
@@ -115,6 +121,37 @@ def test_analyze_evaluates_each_point_once(monkeypatch, shift1_path, p, n, kmax,
     )
     assert code == 0
     assert calls == max(p ** (n * kmax), p ** (n + kmax)) + mmax + 1
+
+
+def test_orbit_steps_are_budgeted(capsys):
+    argv = ["orbit", "--map", "x+1", "--x0", "0", "--m", "8", "--steps", "50", "--budget"]
+    assert run_command(argv + ["50"])[0] == 0
+    assert run_command(argv + ["49"])[0] == 3
+    assert "exceeds budget 49" in capsys.readouterr().err
+
+
+def test_mahler_points_are_budgeted(capsys):
+    argv = ["mahler", "--map", "x^2+x", "--mmax", "100", "--budget"]
+    assert run_command(argv + ["101"])[0] == 0
+    assert run_command(argv + ["50"])[0] == 3
+    assert "enumeration of 101 entries exceeds budget 50" in capsys.readouterr().err
+
+
+def test_degenerate_automaton_file_is_config_error(tmp_path, capsys):
+    aut = tmp_path / "silent.aut"
+    aut.write_text("p 2\nstates s\ninitial s\ns 0 -> s / -\ns 1 -> s / -\n")
+    code, _ = run_command(["cycles", "--file", str(aut), "--kmax", "3"])
+    assert code == 2
+    assert "degenerate at state s" in capsys.readouterr().err
+    code, _ = run_command(["cycles", "--map", f'auto("{aut}")(x)', "--kmax", "3"])
+    assert code == 2
+    assert "degenerate at state s (at position" in capsys.readouterr().err
+
+
+def test_unreadable_automaton_file_is_config_error(tmp_path, capsys):
+    code, _ = run_command(["cycles", "--file", str(tmp_path / "missing.aut"), "--kmax", "3"])
+    assert code == 2
+    assert "missing.aut" in capsys.readouterr().err
 
 
 def test_missing_automaton_in_map_is_config_error(tmp_path, capsys):

@@ -296,3 +296,19 @@ def test_dumps_are_deterministic():
     first = to_csv(accumulate_plot(e, 2, 1, 5))
     second = to_csv(accumulate_plot(e, 2, 1, 5))
     assert first == second
+
+
+@pytest.mark.parametrize("text, p, n, k_max", [("sigma(x^2+x+1)", 2, 1, 6), ("C(x,3)+x", 3, 2, 3)])
+def test_integer_plot_set_matches_its_fraction_view(text, p, n, k_max):
+    # the dump and the box count read integer numerators; on the rationals
+    # they are a sort of the points and floor(coord * grid)
+    ps = accumulate_plot(parse_map(text), p, n, k_max)
+    lines = [f"{x.numerator},{x.denominator},{y.numerator},{y.denominator}" for x, y in sorted(ps.points)]
+    assert to_csv(ps).splitlines()[1:] == lines
+    for grid in (1, 7, p**k_max, 64):
+        cells = {
+            (x.numerator * grid // x.denominator, y.numerator * grid // y.denominator)
+            for x, y in ps.points
+        }
+        assert box_count(ps, grid).covered_cells == cells
+    assert ps.points == frozenset().union(*ps.levels.values())

@@ -1,0 +1,188 @@
+"""The compiled evaluation kernel against the tree-walking reference.
+
+``reference_eval_map`` is the exact-integer evaluator the kernel replaced:
+it walks the tree at every point and makes every precision check there.
+The kernel must agree with it digit for digit, and must raise the same
+PrecisionError where the input precision is too small.
+"""
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import CORPUS
+
+from padyn import automata
+from padyn.errors import PrecisionError
+from padyn.mapdsl import (
+    Add,
+    AutoApply,
+    Binom,
+    Const,
+    MahlerLit,
+    Mul,
+    Neg,
+    Pow,
+    Sigma,
+    Sub,
+    Var,
+    eval_map,
+    factorial_valuation,
+    lookahead_bound,
+    parse_map,
+    tabulate,
+)
+from padyn.padic import PadicApprox, binomial_eval
+
+
+def _eval(e, lift: int, precision: int, p: int, cap: int) -> tuple[int, int]:
+    """Return (value, certified digit count); constants count as ``cap``."""
+    if isinstance(e, Const):
+        return e.value, cap
+    if isinstance(e, Var):
+        return lift, precision
+    if isinstance(e, Neg):
+        v, k = _eval(e.operand, lift, precision, p, cap)
+        return -v, k
+    if isinstance(e, (Add, Sub, Mul)):
+        lv, lk = _eval(e.left, lift, precision, p, cap)
+        rv, rk = _eval(e.right, lift, precision, p, cap)
+        k = min(lk, rk)
+        if isinstance(e, Add):
+            return lv + rv, k
+        if isinstance(e, Sub):
+            return lv - rv, k
+        return lv * rv, k
+    if isinstance(e, Pow):
+        v, k = _eval(e.base, lift, precision, p, cap)
+        return v ** e.exponent, k
+    if isinstance(e, Sigma):
+        v, k = _eval(e.operand, lift, precision, p, cap)
+        if k - e.shifts < 1:
+            raise PrecisionError("digit shift exhausts working precision")
+        return v // p ** e.shifts, k - e.shifts
+    if isinstance(e, Binom):
+        v, k = _eval(e.operand, lift, precision, p, cap)
+        drop = factorial_valuation(e.lower, p)
+        if k - drop < 1:
+            raise PrecisionError("binomial denominator exhausts working precision")
+        return binomial_eval(v, e.lower), k - drop
+    if isinstance(e, MahlerLit):
+        v, k = _eval(e.operand, lift, precision, p, cap)
+        drop = max(
+            (factorial_valuation(m, p) for m, a in enumerate(e.coeffs) if a != 0),
+            default=0,
+        )
+        if k - drop < 1:
+            raise PrecisionError("series denominators exhaust working precision")
+        total = sum(a * binomial_eval(v, m) for m, a in enumerate(e.coeffs))
+        return total, k - drop
+    if isinstance(e, AutoApply):
+        machine = e.automaton
+        if machine.p != p:
+            raise ValueError(f"automaton expects p={machine.p}, map evaluated at p={p}")
+        v, k = _eval(e.operand, lift, precision, p, cap)
+        rep = v % p ** k
+        word = [(rep // p ** i) % p for i in range(k)]
+        certain = automata.guaranteed_output_length(machine, k)
+        if certain < 1:
+            raise PrecisionError("automaton output exhausts working precision")
+        trace = automata.run(machine, word)
+        value = 0
+        for d in reversed(trace.output[:certain]):
+            value = value * p + d
+        return value, certain
+    raise TypeError(f"not a map expression: {e!r}")
+
+
+def reference_eval_map(e, x: PadicApprox) -> PadicApprox:
+    bound = lookahead_bound(e, x.p)
+    if x.precision <= bound:
+        raise PrecisionError(f"need more than {bound} input digits, have {x.precision}")
+    k_out = x.precision - bound
+    value, _ = _eval(e, x.residue, x.precision, x.p, x.precision + bound)
+    return PadicApprox(x.p, k_out, value % x.p ** k_out)
+
+
+def _outcome(evaluate, e, x):
+    """The result as (residue, precision), or the PrecisionError's text."""
+    try:
+        out = evaluate(e, x)
+    except PrecisionError as exc:
+        return f"PrecisionError: {exc}"
+    return out.residue, out.precision
+
+
+def _agree_on_all_points(e, p: int, precision: int) -> bool:
+    """Compare every residue mod p**precision; True if the precision was
+    too small (both sides raised)."""
+    residues = range(p ** precision)
+    expected = [_outcome(reference_eval_map, e, PadicApprox(p, precision, r)) for r in residues]
+    got = [_outcome(eval_map, e, PadicApprox(p, precision, r)) for r in residues]
+    assert got == expected, (e, p, precision)
+    if isinstance(expected[0], str):
+        return True
+    digits = expected[0][1]
+    table = tabulate(e, p, p ** precision, digits)
+    assert list(table) == [residue for residue, _ in expected]
+    return False
+
+
+def _shift_map(p: int, operand) -> AutoApply:
+    machine = automata.make_shift_automaton(1, p)
+    return AutoApply("<shift1>", machine, automata.max_output_deficit(machine), operand)
+
+
+# node kinds and signs the corpus leaves out: cubes, negation, subtraction,
+# negative series coefficients and a binomial of a polynomial
+EXTRA = ["x^3+2*x", "-x+5", "2-x^2", "sigma(3*x+1)+x^3", "mahler[0,1,-2,3](x)", "C(x^2+1,3)-x"]
+
+
+@pytest.mark.parametrize("p, precisions", [(2, (1, 2, 3, 5, 8)), (3, (1, 2, 4, 5)), (5, (1, 2, 3))])
+def test_kernel_matches_reference_on_corpus(p, precisions, shift1_path):
+    exprs = [parse_map(text) for text in CORPUS + EXTRA]
+    exprs.append(_shift_map(p, parse_map("x^2+1")))
+    if p == 2:
+        exprs.append(parse_map(f'auto("{shift1_path}")(sigma(x)) + x'))
+    too_small = [_agree_on_all_points(e, p, k) for e in exprs for k in precisions]
+    assert any(too_small) and not all(too_small)
+
+
+def _atoms(p: int):
+    return st.one_of(st.just(Var()), st.integers(0, 2 * p).map(Const))
+
+
+def _expressions(p: int):
+    def extend(children):
+        return st.one_of(
+            st.builds(Neg, children),
+            st.builds(Add, children, children),
+            st.builds(Sub, children, children),
+            st.builds(Mul, children, children),
+            st.builds(Pow, children, st.integers(0, 3)),
+            st.builds(Sigma, st.integers(1, 2), children),
+            st.builds(Binom, children, st.integers(0, 4)),
+            st.builds(
+                MahlerLit, st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(tuple), children
+            ),
+            children.map(lambda child: _shift_map(p, child)),
+        )
+
+    return st.recursive(_atoms(p), extend, max_leaves=5)
+
+
+_EXPRESSIONS = {p: _expressions(p) for p in (2, 3, 5)}
+
+
+@st.composite
+def _cases(draw):
+    p = draw(st.sampled_from(sorted(_EXPRESSIONS)))
+    e = draw(_EXPRESSIONS[p])
+    precision = draw(st.integers(1, {2: 8, 3: 5, 5: 3}[p]))
+    residue = draw(st.integers(0, p ** precision - 1))
+    return e, PadicApprox(p, precision, residue)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cases())
+def test_kernel_matches_reference_on_random_expressions(case):
+    e, x = case
+    assert _outcome(eval_map, e, x) == _outcome(reference_eval_map, e, x)

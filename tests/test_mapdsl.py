@@ -2,7 +2,14 @@ import pytest
 
 from conftest import SHIFT1_FILE
 
-from padyn.errors import AutomatonFormatError, BudgetError, MapSyntaxError, PrecisionError
+from padyn.automata import parse_automaton
+from padyn.errors import (
+    AutomatonFormatError,
+    BudgetError,
+    DegenerateAutomatonError,
+    MapSyntaxError,
+    PrecisionError,
+)
 from padyn.mapdsl import (
     Add,
     AutoApply,
@@ -49,6 +56,16 @@ def test_parse_auto(shift1_path):
     e = parse_map(f'auto("{shift1_path}")(x)')
     assert isinstance(e, AutoApply)
     assert e.deficit == 1
+
+
+def test_degenerate_automaton_is_rejected_by_class(tmp_path):
+    # one check, two error classes: the DSL reports a syntax error at the atom
+    path = tmp_path / "silent.aut"
+    path.write_text("p 2\nstates s\ninitial s\ns 0 -> s / -\ns 1 -> s / -\n")
+    with pytest.raises(DegenerateAutomatonError, match="silent.aut"):
+        AutoApply.checked(str(path), parse_automaton(path.read_text()), Var())
+    with pytest.raises(MapSyntaxError, match="degenerate at state s"):
+        parse_map(f'auto("{path}")(x)')
 
 
 def test_parse_auto_missing_file(tmp_path):

@@ -118,7 +118,7 @@ def _coefficient_rows(coeffs: mahler.MahlerCoeffs) -> list[dict]:
             "m": m,
             "residue": coeffs.residues[m],
             "signed": coeffs.signed(m),
-            "valuation": str(coeffs.valuation(m)),
+            "valuation": str(coeffs.valuations[m]),
         }
         for m in range(coeffs.max_index + 1)
     ]

@@ -13,7 +13,7 @@ rasters are plain PGM (P2) with 1 = covered and row 0 at the top.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -45,19 +45,21 @@ __all__ = [
 @dataclass(frozen=True)
 class ReducedLevelMap:
     """A finite reduction of the map: the full table of a function from
-    Z/p**domain_digits to Z/p**codomain_digits."""
+    Z/p**domain_digits to Z/p**codomain_digits.  ``check_range=False``
+    skips the scan of the values, for a table reduced by construction."""
 
     p: int
     domain_digits: int
     codomain_digits: int
     table: tuple[int, ...]
     form: str  # "census" (codomain strictly smaller) or "endomap"
+    check_range: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, check_range: bool) -> None:
         if len(self.table) != self.p ** self.domain_digits:
             raise ValueError("table length does not match the domain size")
         limit = self.p ** self.codomain_digits
-        if any(not 0 <= v < limit for v in self.table):
+        if check_range and any(not 0 <= v < limit for v in self.table):
             raise ValueError("table value out of codomain range")
 
     def restrict(self, domain_digits: int, codomain_digits: int) -> ReducedLevelMap:
@@ -78,8 +80,9 @@ class ReducedLevelMap:
 
 
 def _level(p: int, domain_digits: int, codomain_digits: int, table) -> ReducedLevelMap:
+    # every table passed here, from tabulate or restrict, is reduced mod p**codomain_digits
     form = "endomap" if domain_digits == codomain_digits else "census"
-    return ReducedLevelMap(p, domain_digits, codomain_digits, table, form)
+    return ReducedLevelMap(p, domain_digits, codomain_digits, table, form, check_range=False)
 
 
 def reduced_map(

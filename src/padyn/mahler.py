@@ -10,6 +10,8 @@ polynomial, in which case the verdict is total.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
+from itertools import accumulate
 
 from .mapdsl import MapExpr, binomial_degree, tabulate
 from .padic import Valuation, binomial_eval, residue_valuation
@@ -26,6 +28,9 @@ __all__ = [
     "eval_mahler",
     "mahler_coeffs",
 ]
+
+_SPLIT_CUTOFF = 32  # Mahler rows up to this length take the plain difference loop (measured)
+_DIVIDES = "a_{} = 0 (mod p^{})".format  # the clause p**req | a_m, as condition(m, req)
 
 
 @dataclass(frozen=True)
@@ -45,8 +50,14 @@ class MahlerCoeffs:
     def max_index(self) -> int:
         return len(self.residues) - 1
 
+    @cached_property
+    def valuations(self) -> tuple[Valuation, ...]:
+        """The valuation of every coefficient, computed once; equal ones share one object."""
+        p, k, shared = self.p, self.precision, {}
+        return tuple(shared.setdefault(v := residue_valuation(r, p, k), v) for r in self.residues)
+
     def valuation(self, m: int) -> Valuation:
-        return residue_valuation(self.residues[m], self.p, self.precision)
+        return self.valuations[m]
 
     def signed(self, m: int) -> int:
         """Balanced representative in (-p**K/2, p**K/2], nicer to read."""
@@ -127,7 +138,7 @@ class Verdict:
 def mahler_coeffs(
     e: MapExpr, p: int, max_index: int, precision: int, budget: int | None = None
 ) -> MahlerCoeffs:
-    """Coefficients a_0..a_max_index via the exact forward-difference table.
+    """Coefficients a_0..a_max_index, the forward differences at 0.
 
     The map is evaluated at the integer points 0..max_index with enough
     input digits that each value is certified mod p**precision; those
@@ -137,13 +148,32 @@ def mahler_coeffs(
         raise ValueError("max_index must be >= 0")
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    modulus = p ** precision
     row = tabulate(e, p, max_index + 1, precision, budget)
-    coeffs = [row[0]]
-    for _ in range(max_index):
-        row = [(row[i + 1] - row[i]) % modulus for i in range(len(row) - 1)]
-        coeffs.append(row[0])
+    coeffs = _differences(row, p ** precision)
     return MahlerCoeffs(p, precision, tuple(coeffs), binomial_degree(e))
+
+
+def _differences(row, q: int) -> list[int]:
+    """Delta^m row(0) mod q for m < len(row), for residues 0 <= row(i) < q.  The first
+    h = n // 2 are those of row[:h], the rest those of g(j) = Delta^h row(j) = sum_t (-1)^t
+    C(h, t) row(j + h - t): one product of packed integers, each slot wide enough for
+    (h + 1)(q - 1)^2, so no carry crosses into the next."""
+    n = len(row)
+    if n == 1:
+        return [row[0]]
+    if n <= _SPLIT_CUTOFF:
+        return [row[0]] + _differences([(b - a) % q for a, b in zip(row, row[1:])], q)
+    h = n // 2
+    binoms = accumulate(range(h), lambda c, t: c * (h - t) // (t + 1), initial=1)
+    kernel = [(-c if t % 2 else c) % q for t, c in enumerate(binoms)]
+    width = -(-((h + 1) * (q - 1) ** 2).bit_length() // 8)
+    data = (_pack(kernel, width) * _pack(row, width)).to_bytes((n + h + 1) * width, "little")
+    g = [int.from_bytes(data[s * width : (s + 1) * width], "little") % q for s in range(h, n)]
+    return _differences(row[:h], q) + _differences(g, q)
+
+
+def _pack(values, width: int) -> int:
+    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
 
 
 def eval_mahler(c: MahlerCoeffs, i: int) -> int:
@@ -166,17 +196,18 @@ class _Scan:
         self.violation: Verdict | None = None
         self.undecided: Verdict | None = None
 
-    def require_valuation(self, m: int, required: int, condition: str, definitive=False):
-        if required <= 0 or self.violation is not None:
-            return
-        met = self.c.valuation(m).meets(required)
-        if met is False:
-            self.violation = Verdict.violated(
-                self.c.max_index, m, condition, f"valuation {self.c.valuation(m)}",
-                definitive=definitive,
-            )
-        elif met is None and self.undecided is None:
-            self.undecided = Verdict.undecidable(self.c.max_index, m, condition)
+    def require_valuations(self, requirements, condition, definitive=False):
+        """Require p**req | a_m for each (m, req); ``condition(m, req)`` names a failed clause."""
+        for m, required in requirements:
+            v = self.c.valuations[m]
+            if self.violation is not None or required <= v.value:
+                continue
+            if v.exact:
+                self.violation = Verdict.violated(
+                    self.c.max_index, m, condition(m, required), f"valuation {v}", definitive
+                )
+            elif self.undecided is None:
+                self.undecided = Verdict.undecidable(self.c.max_index, m, condition(m, required))
 
     def require(self, ok: bool, m: int, condition: str, observed: str, definitive=False):
         if self.violation is None and not ok:
@@ -191,16 +222,14 @@ class _Scan:
         return Verdict.satisfied(self.c.max_index, total=total, note=note)
 
 
-def _ilog(m: int, base: int) -> int:
-    """Largest e >= 0 with base**e <= m, by integer comparison only."""
-    if m < 1:
-        raise ValueError("logarithm argument must be >= 1")
-    e = 0
-    q = base
-    while q <= m:
-        e += 1
-        q *= base
-    return e
+def _logs(start: int, stop: int, base: int):
+    """(m, floor(log_base m)) for 1 <= start <= m < stop, by a threshold raised as m grows."""
+    e, threshold = 0, base
+    for m in range(start, stop):
+        while threshold <= m:
+            e += 1
+            threshold *= base
+        yield m, e
 
 
 def check_bernoulli_properties(c: MahlerCoeffs, n: int) -> Verdict:
@@ -223,10 +252,11 @@ def check_bernoulli_properties(c: MahlerCoeffs, n: int) -> Verdict:
     scan.require(
         c.residues[block] == 1, block, f"a_{{p^{n}}} = 1", f"a_{block} = {c.signed(block)}"
     )
-    for m in range(2, M + 1):
-        # largest j with m > j*(p^n - 1) + 1, restricted to j <= K
-        j = min(-(-(m - 1) // (block - 1)) - 1, c.precision)
-        scan.require_valuation(m, j, f"p^{j} | a_{m} (m > {j}*p^{n} - {j} + 1)")
+    # largest j with m > j*(p^n - 1) + 1, restricted to j <= K
+    scan.require_valuations(
+        ((m, min(-(-(m - 1) // (block - 1)) - 1, c.precision)) for m in range(2, M + 1)),
+        lambda m, j: f"p^{j} | a_{m} (m > {j}*p^{n} - {j} + 1)",
+    )
     return scan.verdict()
 
 
@@ -240,9 +270,7 @@ def check_lipschitz_mp(c: MahlerCoeffs) -> Verdict:
     scan.require(
         c.residues[1] % p != 0, 1, "a_1 not = 0 (mod p)", f"a_1 = {c.signed(1)}"
     )
-    for m in range(2, M + 1):
-        req = _ilog(m, p) + 1
-        scan.require_valuation(m, req, f"a_{m} = 0 (mod p^{req})")
+    scan.require_valuations(((m, e + 1) for m, e in _logs(2, M + 1, p)), _DIVIDES)
     return scan.verdict(total=c.total, note="sufficient condition only")
 
 
@@ -288,11 +316,9 @@ def check_lipschitz_ergodic(c: MahlerCoeffs, strict_m1: bool = False) -> Verdict
             f"a_1 = {c.signed(1) % p} (mod {p})",
         )
     start = 1 if strict_m1 else 2
-    for m in range(start, M + 1):
-        req = _ilog(m + 1, p) + 1
-        scan.require_valuation(
-            m, req, f"a_{m} = 0 (mod p^{req})", definitive=definitive
-        )
+    scan.require_valuations(
+        ((m - 1, e + 1) for m, e in _logs(start + 1, M + 2, p)), _DIVIDES, definitive
+    )
     return scan.verdict(total=c.total, note=note)
 
 
@@ -304,14 +330,16 @@ def check_complex_shift_bound(c: MahlerCoeffs, n: int) -> Verdict:
     p, M = c.p, c.max_index
     base = p ** n
     scan = _Scan(c)
-    for m in range(1, M + 1):
-        req = _ilog(m, base) - 1
-        if req > 0:
-            scan.require_valuation(m, req, f"|a_{m}| <= p^(1 - log_{{p^{n}}} {m})")
+    scan.require_valuations(
+        ((m, e - 1) for m, e in _logs(1, M + 1, base)),
+        lambda m, req: f"|a_{m}| <= p^(1 - log_{{p^{n}}} {m})",
+    )
     return scan.verdict(total=c.total)
 
 
 def _require_up_to(c: MahlerCoeffs, n: int) -> int:
+    if n < 1:
+        raise ValueError("complex-shift level must be >= 1")
     block = c.p ** n
     if c.max_index < block:
         raise ValueError(
@@ -324,8 +352,6 @@ def check_cs_mp(c: MahlerCoeffs, n: int) -> Verdict:
     """Sufficient conditions for a level-n complex shift to preserve the
     uniform measure: a unit at index p**n, then tail divisibility
     p**floor(log_{p^n} m) | a_m for m > p**n."""
-    if n < 1:
-        raise ValueError("complex-shift level must be >= 1")
     p, M = c.p, c.max_index
     block = _require_up_to(c, n)
     scan = _Scan(c)
@@ -335,9 +361,7 @@ def check_cs_mp(c: MahlerCoeffs, n: int) -> Verdict:
         f"a_m not = 0 (mod p) for m = p^{n}",
         f"a_{block} = {c.signed(block)}",
     )
-    for m in range(block + 1, M + 1):
-        req = _ilog(m, block)
-        scan.require_valuation(m, req, f"a_{m} = 0 (mod p^{req})")
+    scan.require_valuations(_logs(block + 1, M + 1, block), _DIVIDES)
     return scan.verdict(total=c.total, note="sufficient condition only")
 
 
@@ -345,8 +369,6 @@ def check_cs_ergodic(c: MahlerCoeffs, n: int) -> Verdict:
     """Sufficient conditions for a level-n complex shift to be ergodic:
     a_{p^n} = 1 mod p, the head sum a_1 + ... + a_{p^n - 1} divisible by
     p, and the same tail divisibility as the measure-preservation test."""
-    if n < 1:
-        raise ValueError("complex-shift level must be >= 1")
     p, M = c.p, c.max_index
     block = _require_up_to(c, n)
     scan = _Scan(c)
@@ -363,7 +385,5 @@ def check_cs_ergodic(c: MahlerCoeffs, n: int) -> Verdict:
         f"a_1 + ... + a_{{p^{n} - 1}} = 0 (mod p)",
         f"sum = {head} (mod {p})",
     )
-    for m in range(block + 1, M + 1):
-        req = _ilog(m, block)
-        scan.require_valuation(m, req, f"a_{m} = 0 (mod p^{req})")
+    scan.require_valuations(_logs(block + 1, M + 1, block), _DIVIDES)
     return scan.verdict(total=c.total, note="sufficient condition only")

@@ -4,6 +4,7 @@ import pytest
 
 from padyn.dynamics import (
     PlotSet,
+    ReducedLevelMap,
     accumulate_plot,
     box_count,
     cycle_report,
@@ -72,6 +73,21 @@ def test_restrict_refuses_digits_the_table_lacks():
     for d, c in ((4, 3), (3, 4), (0, 1), (1, 0)):
         with pytest.raises(ValueError):
             top.restrict(d, c)
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ((0, 1, 2), "table length"),
+        ((0, 1, 2, 4), "out of codomain range"),
+        ((0, -1, 2, 3), "out of codomain range"),
+    ],
+)
+def test_constructor_checks_length_and_range(table, message):
+    # restrict skips the range scan; a table built directly keeps both checks
+    with pytest.raises(ValueError, match=message):
+        ReducedLevelMap(2, 2, 2, table, "endomap")
+    assert ReducedLevelMap(2, 2, 2, (0, 1, 2, 3), "endomap").table == (0, 1, 2, 3)
 
 
 # --- censuses ---------------------------------------------------------------

@@ -1,7 +1,12 @@
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from test_kernel import EXPRESSIONS
+
+from padyn import mahler
 from padyn.mahler import (
     MahlerCoeffs,
     check_bernoulli_properties,
@@ -13,7 +18,7 @@ from padyn.mahler import (
     eval_mahler,
     mahler_coeffs,
 )
-from padyn.mapdsl import eval_map, lookahead_bound, parse_map
+from padyn.mapdsl import eval_map, lookahead_bound, parse_map, tabulate
 from padyn.padic import PadicApprox
 
 
@@ -53,6 +58,65 @@ def test_difference_table_matches_alternating_sum(corpus_texts, p):
         values = [PLAIN[text](i, p) for i in range(13)]
         for m in range(13):
             assert c.residues[m] == alternating_sum(values, m, p**K), (text, m)
+
+
+def reference_differences(row, modulus):
+    """The row-by-row forward-difference table the divide-and-conquer
+    transform replaced: M^2/2 subtractions."""
+    coeffs = [row[0]]
+    for _ in range(len(row) - 1):
+        row = [(row[i + 1] - row[i]) % modulus for i in range(len(row) - 1)]
+        coeffs.append(row[0])
+    return coeffs
+
+
+# lengths on both sides of the base-case cutoff, odd and even, up to 601
+LENGTHS = [1, 2, 3, 7, 31, 32, 33, 34, 63, 64, 65, 66, 100, 129, 257, 600, 601]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_transform_matches_reference_on_random_rows(p):
+    rng = random.Random(p)
+    for n in LENGTHS:
+        for K in (1, rng.randint(2, 69), 70):
+            q = p**K
+            row = [rng.randrange(q) for _ in range(n)]
+            assert mahler._differences(list(row), q) == reference_differences(row, q), (n, K)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_transform_matches_reference_on_worst_case_rows(p):
+    # rows of q - 1 fill each packed slot closest to its width; alternating
+    # q - 1 and 0 keeps the slots near full with differences that do not vanish
+    for n in LENGTHS:
+        for K in (1, 2, 33, 70):
+            q = p**K
+            for row in ([q - 1] * n, [(q - 1) * (i % 2) for i in range(n)]):
+                assert mahler._differences(list(row), q) == reference_differences(row, q), (n, K)
+
+
+def test_transform_matches_reference_at_scan_size():
+    e = parse_map("sigma(x^2+x+1)")
+    c = mahler_coeffs(e, 2, 4096, 64)
+    row = tabulate(e, 2, 4097, 64)
+    assert list(c.residues) == reference_differences(list(row), 2**64)
+
+
+@st.composite
+def _round_trip_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    return draw(EXPRESSIONS[p]), p, draw(st.integers(0, 48)), draw(st.integers(1, 8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_round_trip_cases())
+def test_mahler_round_trip_on_random_expressions(case):
+    e, p, M, K = case
+    c = mahler_coeffs(e, p, M, K)
+    table = tabulate(e, p, M + 1, K)
+    assert [eval_mahler(c, i) for i in range(M + 1)] == list(table)
+    if c.total:
+        assert not any(c.residues[c.degree_bound + 1 :])
 
 
 def test_shift_coefficients_base_two():

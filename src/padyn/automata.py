@@ -191,11 +191,6 @@ def parse_automaton(text: str) -> Automaton:
         transitions[(src, letter)] = target
         outputs[(src, letter)] = word
 
-    for s in states:
-        for a in range(p):
-            if (s, a) not in transitions:
-                raise AutomatonFormatError(f"missing transition for ({s}, {a})")
-
     automaton = Automaton(p, states, initial, transitions, outputs)
     reachable = set(accessible_states(automaton))
     dead = [s for s in states if s not in reachable]

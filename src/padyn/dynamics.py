@@ -13,7 +13,7 @@ rasters are plain PGM (P2) with 1 = covered and row 0 at the top.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import InitVar, dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -52,7 +52,7 @@ class ReducedLevelMap:
     domain_digits: int
     codomain_digits: int
     table: tuple[int, ...]
-    form: str  # "census" (codomain strictly smaller) or "endomap"
+    _: KW_ONLY
     check_range: InitVar[bool] = True
 
     def __post_init__(self, check_range: bool) -> None:
@@ -61,6 +61,11 @@ class ReducedLevelMap:
         limit = self.p ** self.codomain_digits
         if check_range and any(not 0 <= v < limit for v in self.table):
             raise ValueError("table value out of codomain range")
+
+    @property
+    def form(self) -> str:
+        """'endomap' when the two digit counts are equal, else 'census'."""
+        return "endomap" if self.domain_digits == self.codomain_digits else "census"
 
     def restrict(self, domain_digits: int, codomain_digits: int) -> ReducedLevelMap:
         """The reduction Z/p**domain_digits -> Z/p**codomain_digits read off
@@ -81,8 +86,7 @@ class ReducedLevelMap:
 
 def _level(p: int, domain_digits: int, codomain_digits: int, table) -> ReducedLevelMap:
     # every table passed here, from tabulate or restrict, is reduced mod p**codomain_digits
-    form = "endomap" if domain_digits == codomain_digits else "census"
-    return ReducedLevelMap(p, domain_digits, codomain_digits, table, form, check_range=False)
+    return ReducedLevelMap(p, domain_digits, codomain_digits, table, check_range=False)
 
 
 def reduced_map(

@@ -14,9 +14,10 @@ Grammar::
 Signed integers are accepted inside mahler coefficient lists and as unary
 minus on factors; exponents and binomial lower indices stay unsigned.
 
-Evaluation is exact: the input is lifted to its unique zero-padded integer
-representative, the tree is computed over the integers (digit shifts are
-floor divisions, binomials are exact falling-factorial divisions), and the
+Evaluation works on integers: the input is lifted to its unique
+zero-padded integer representative, the tree is computed over the integers
+(digit shifts are floor divisions, binomials are exact falling-factorial
+divisions, automata keep the output digits their input certifies), and the
 result is reduced to the precision the lookahead bound certifies.  Maps
 are compiled once (``compile_map``) into closures doing per-point work only.
 """
@@ -121,7 +122,7 @@ class MahlerLit:
     operand: "MapExpr"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AutoApply:
     path: str
     automaton: automata.Automaton
@@ -138,15 +139,6 @@ class AutoApply:
                 f"automaton {path!r} is degenerate at state {verdict.witness}"
             )
         return cls(path, machine, automata.max_output_deficit(machine), operand)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AutoApply):
-            return NotImplemented
-        return (self.path, self.automaton, self.operand) == (
-            other.path,
-            other.automaton,
-            other.operand,
-        )
 
 
 MapExpr = (
@@ -198,10 +190,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str, automaton_loader):
+    def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.load_automaton = automaton_loader
 
     def peek(self):
         return self.tokens[self.pos]
@@ -321,7 +312,7 @@ class _Parser:
                 self.expect_sym("(")
                 e = self.expr()
                 self.expect_sym(")")
-                machine = self.load_automaton(path)
+                machine = _load_automaton(path)
                 try:
                     return AutoApply.checked(path, machine, e)
                 except DegenerateAutomatonError as exc:
@@ -330,7 +321,7 @@ class _Parser:
         raise MapSyntaxError("expected an expression", position=at)
 
 
-def _default_loader(path: str) -> automata.Automaton:
+def _load_automaton(path: str) -> automata.Automaton:
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -340,9 +331,9 @@ def _default_loader(path: str) -> automata.Automaton:
     return automata.parse_automaton(text)
 
 
-def parse_map(text: str, automaton_loader=_default_loader) -> MapExpr:
+def parse_map(text: str) -> MapExpr:
     """Parse a map expression; automaton references are loaded eagerly."""
-    return _Parser(text, automaton_loader).parse()
+    return _Parser(text).parse()
 
 
 # --- pretty printer ----------------------------------------------------
@@ -468,64 +459,55 @@ def binomial_degree(e: MapExpr) -> int | None:
 # --- evaluation --------------------------------------------------------
 
 
-def _compile(e: MapExpr, p: int, precision: int, cap: int) -> tuple[Callable[[int], int], int]:
-    """Return (fn, certified digits): fn(lift) is the exact value of e at
-    ``lift``; constants count as ``cap`` digits.  The digit count does not
-    depend on ``lift``, so every precision check is made here, once."""
+def _compile(e: MapExpr, p: int, precision: int) -> Callable[[int], int]:
+    """Return fn: fn(lift) is the value of e at ``lift``, certified mod
+    p**(precision - L) for L = ``lookahead_bound(e, p)``; the caller has
+    checked that this is at least one digit."""
     if isinstance(e, Const):
         value = e.value
-        return (lambda x: value), cap
+        return lambda x: value
     if isinstance(e, Var):
-        return (lambda x: x), precision
+        return lambda x: x
     if isinstance(e, Neg):
-        f, k = _compile(e.operand, p, precision, cap)
-        return (lambda x: -f(x)), k
+        f = _compile(e.operand, p, precision)
+        return lambda x: -f(x)
     if isinstance(e, (Add, Sub, Mul)):
-        lf, lk = _compile(e.left, p, precision, cap)
-        rf, rk = _compile(e.right, p, precision, cap)
-        k = min(lk, rk)
+        lf = _compile(e.left, p, precision)
+        rf = _compile(e.right, p, precision)
         if isinstance(e, Add):
-            return (lambda x: lf(x) + rf(x)), k
+            return lambda x: lf(x) + rf(x)
         if isinstance(e, Sub):
-            return (lambda x: lf(x) - rf(x)), k
-        return (lambda x: lf(x) * rf(x)), k
+            return lambda x: lf(x) - rf(x)
+        return lambda x: lf(x) * rf(x)
     if isinstance(e, Pow):
-        f, k = _compile(e.base, p, precision, cap)
+        f = _compile(e.base, p, precision)
         exponent = e.exponent
-        return (lambda x: f(x) ** exponent), k
+        return lambda x: f(x) ** exponent
     if isinstance(e, Sigma):
-        f, k = _compile(e.operand, p, precision, cap)
-        if k - e.shifts < 1:
-            raise PrecisionError("digit shift exhausts working precision")
+        f = _compile(e.operand, p, precision)
         divisor = p ** e.shifts
-        return (lambda x: f(x) // divisor), k - e.shifts
+        return lambda x: f(x) // divisor
     if isinstance(e, Binom):
-        f, k = _compile(e.operand, p, precision, cap)
-        drop = factorial_valuation(e.lower, p)
-        if k - drop < 1:
-            raise PrecisionError("binomial denominator exhausts working precision")
+        f = _compile(e.operand, p, precision)
         lower = e.lower
-        return (lambda x: binomial_eval(f(x), lower)), k - drop
+        return lambda x: binomial_eval(f(x), lower)
     if isinstance(e, MahlerLit):
-        f, k = _compile(e.operand, p, precision, cap)
-        drop = _series_drop(e.coeffs, p)
-        if k - drop < 1:
-            raise PrecisionError("series denominators exhaust working precision")
+        f = _compile(e.operand, p, precision)
         terms = tuple((m, a) for m, a in enumerate(e.coeffs) if a != 0)
 
         def series(x: int) -> int:
             v = f(x)
             return sum(a * binomial_eval(v, m) for m, a in terms)
 
-        return series, k - drop
+        return series
     if isinstance(e, AutoApply):
         machine = e.automaton
         if machine.p != p:
             raise ValueError(f"automaton expects p={machine.p}, map evaluated at p={p}")
-        f, k = _compile(e.operand, p, precision, cap)
-        certain = automata.guaranteed_output_length(machine, k)
-        if certain < 1:
-            raise PrecisionError("automaton output exhausts working precision")
+        f = _compile(e.operand, p, precision)
+        # k certified input digits; no run of k letters emits fewer than k - deficit
+        k = precision - lookahead_bound(e.operand, p)
+        certain = k - e.deficit
         powers = [p ** i for i in range(k)]
 
         def transduce(x: int) -> int:
@@ -536,23 +518,22 @@ def _compile(e: MapExpr, p: int, precision: int, cap: int) -> tuple[Callable[[in
                 value = value * p + digit
             return value
 
-        return transduce, certain
+        return transduce
     raise TypeError(f"not a map expression: {e!r}")
 
 
 def compile_map(e: MapExpr, p: int, precision: int) -> tuple[Callable[[int], int], int]:
     """Compile e for inputs known to ``precision`` digits: returns (f, k),
-    f(lift) the exact value at a zero-padded lift 0 <= lift < p**precision,
-    certified mod p**k, k = precision - L for L the lookahead bound.  The
-    bound, precision checks, factorial valuations, shift divisors and
-    automaton output lengths are all worked out here, once per map."""
+    f(lift) the value at a zero-padded lift 0 <= lift < p**precision,
+    certified mod p**k, k = precision - L for L the lookahead bound.  This
+    is the one precision check; the bound, shift divisors and automaton
+    digit counts are worked out here, once per map."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     bound = lookahead_bound(e, p)
     if precision <= bound:
         raise PrecisionError(f"need more than {bound} input digits, have {precision}")
-    f, _ = _compile(e, p, precision, precision + bound)
-    return f, precision - bound
+    return _compile(e, p, precision), precision - bound
 
 
 def eval_map(e: MapExpr, x: PadicApprox) -> PadicApprox:

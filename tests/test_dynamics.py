@@ -86,8 +86,21 @@ def test_restrict_refuses_digits_the_table_lacks():
 def test_constructor_checks_length_and_range(table, message):
     # restrict skips the range scan; a table built directly keeps both checks
     with pytest.raises(ValueError, match=message):
-        ReducedLevelMap(2, 2, 2, table, "endomap")
-    assert ReducedLevelMap(2, 2, 2, (0, 1, 2, 3), "endomap").table == (0, 1, 2, 3)
+        ReducedLevelMap(2, 2, 2, table)
+    assert ReducedLevelMap(2, 2, 2, (0, 1, 2, 3)).table == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_cycle_report_refuses_a_census_table(p):
+    # the form follows the digit counts, so a directly built Z/p^2 -> Z/p
+    # table is a census and has no cycles to report
+    m = ReducedLevelMap(p, 2, 1, tuple(i % p for i in range(p**2)))
+    assert m.form == "census"
+    assert ReducedLevelMap(p, 1, 1, tuple(range(p))).form == "endomap"
+    with pytest.raises(ValueError, match="endomap"):
+        cycle_report(m)
+    with pytest.raises(TypeError):
+        ReducedLevelMap(p, 2, 1, m.table, "endomap")
 
 
 # --- censuses ---------------------------------------------------------------

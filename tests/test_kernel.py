@@ -131,6 +131,11 @@ def _shift_map(p: int, operand) -> AutoApply:
     return AutoApply("<shift1>", machine, automata.max_output_deficit(machine), operand)
 
 
+# two output digits per input letter: the kernel keeps fewer digits of the
+# automaton's value than it emits, so only the certified ones may show
+WIDEN = automata.parse_automaton("p 2\nstates s\ninitial s\ns 0 -> s / 00\ns 1 -> s / 11\n")
+
+
 # node kinds and signs the corpus leaves out: cubes, negation, subtraction,
 # negative series coefficients and a binomial of a polynomial
 EXTRA = ["x^3+2*x", "-x+5", "2-x^2", "sigma(3*x+1)+x^3", "mahler[0,1,-2,3](x)", "C(x^2+1,3)-x"]
@@ -142,6 +147,10 @@ def test_kernel_matches_reference_on_corpus(p, precisions, shift1_path):
     exprs.append(_shift_map(p, parse_map("x^2+1")))
     if p == 2:
         exprs.append(parse_map(f'auto("{shift1_path}")(sigma(x)) + x'))
+        shift = automata.make_shift_automaton(1, 2)
+        exprs.append(AutoApply.checked("<widen>", WIDEN, parse_map("sigma(x)")))
+        exprs.append(Sigma(2, AutoApply.checked("<widen>", WIDEN, parse_map("x^2+1"))))
+        exprs.append(Add(AutoApply.checked("<shift1>", shift, Const(5)), Var()))
     too_small = [_agree_on_all_points(e, p, k) for e in exprs for k in precisions]
     assert any(too_small) and not all(too_small)
 

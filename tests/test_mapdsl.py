@@ -101,6 +101,12 @@ def test_pretty_print_round_trip(text):
     assert parse_map(to_text(tree)) == tree
 
 
+def test_auto_round_trip(shift1_path):
+    tree = parse_map(f'auto("{shift1_path}")(sigma(x)) + x')
+    assert parse_map(to_text(tree)) == tree
+    assert tree != parse_map(f'auto("{shift1_path}")(x) + x')
+
+
 def test_corpus_round_trip(corpus_texts):
     for text in corpus_texts:
         tree = parse_map(text)

@@ -12,18 +12,14 @@ from .errors import (
 )
 from .padic import (
     PadicApprox,
-    PNorm,
     Valuation,
     binomial_eval,
-    distance,
-    from_digits,
     is_prime,
 )
 from .automata import (
     Automaton,
     RunTrace,
     check_nondegenerate,
-    guaranteed_output_length,
     make_shift_automaton,
     max_output_deficit,
     parse_automaton,
@@ -68,7 +64,6 @@ from .dynamics import (
     orbit,
     padded_endomap,
     plot_levels,
-    plot_points,
     preimage_census,
     reduced_map,
     to_csv,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .errors import AutomatonFormatError, DegenerateAutomatonError, UnboundedLookaheadError
+from .errors import AutomatonFormatError, UnboundedLookaheadError
 from .padic import is_prime
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "NondegeneracyVerdict",
     "accessible_states",
     "check_nondegenerate",
-    "guaranteed_output_length",
     "make_shift_automaton",
     "max_output_deficit",
     "parse_automaton",
@@ -88,11 +87,6 @@ class RunTrace:
 class NondegeneracyVerdict:
     nondegenerate: bool
     witness: str | None = None
-
-    def __str__(self) -> str:
-        if self.nondegenerate:
-            return "Nondegenerate"
-        return f"DegenerateAt({self.witness})"
 
 
 def accessible_states(a: Automaton) -> tuple[str, ...]:
@@ -268,24 +262,6 @@ def check_nondegenerate(a: Automaton) -> NondegeneracyVerdict:
                 color[node] = BLACK
                 stack.pop()
     return NondegeneracyVerdict(True)
-
-
-def guaranteed_output_length(a: Automaton, input_len: int) -> int:
-    """Minimum emitted length over all inputs of the given length."""
-    verdict = check_nondegenerate(a)
-    if not verdict.nondegenerate:
-        raise DegenerateAutomatonError(f"degenerate at state {verdict.witness}")
-    best = {a.initial: 0}
-    for _ in range(input_len):
-        nxt: dict[str, int] = {}
-        for s, emitted in best.items():
-            for letter in range(a.p):
-                t = a.transitions[(s, letter)]
-                total = emitted + len(a.outputs[(s, letter)])
-                if t not in nxt or total < nxt[t]:
-                    nxt[t] = total
-        best = nxt
-    return min(best.values())
 
 
 def max_output_deficit(a: Automaton) -> int:

@@ -82,10 +82,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_budget(args) -> int | None:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("PADYN_BUDGET")
-    return int(env) if env else None
+    """--budget, else PADYN_BUDGET; it must be a positive integer."""
+    source, budget = "--budget", args.budget
+    if budget is None:
+        source, text = "PADYN_BUDGET", os.environ.get("PADYN_BUDGET")
+        if not text:
+            return None
+        try:
+            budget = int(text)
+        except ValueError:
+            raise ValueError(f"PADYN_BUDGET must be an integer, got {text!r}") from None
+    if budget < 1:
+        raise ValueError(f"{source} must be >= 1, got {budget}")
+    return budget
 
 
 _ECHOED = (
@@ -300,6 +309,15 @@ def _verdict_line(name: str, data: dict) -> str:
     return f"  {name}: {kind}" + (f" ({text})" if text else "")
 
 
+def _cycle_label(row: dict, p: int) -> str:
+    """Transitive only when the one cycle covers all of Z/p**m."""
+    if not row["unique_cycle"]:
+        return "MultipleCycles"
+    if row["cycle_lengths"][0] == p ** row["m"]:
+        return "Transitive"
+    return f"OneCycle(covers {row['cycle_lengths'][0]} of {p}^{row['m']})"
+
+
 def render_report(report: dict, fmt: str = "text") -> str:
     """Serialize a report; JSON output is byte-deterministic."""
     if fmt == "json":
@@ -344,7 +362,7 @@ def render_report(report: dict, fmt: str = "text") -> str:
                     if row["cycles"] is not None and row["cycle_count"] <= 8
                     else f"lengths {row['cycle_lengths'][:8]}"
                 )
-                verdict = "UniqueCycle" if row["unique_cycle"] else "MultipleCycles"
+                verdict = _cycle_label(row, cfg["p"])
                 lines.append(
                     f"  m={row['m']}: {row['cycle_count']} cycle(s), {verdict}, {detail}"
                 )

@@ -34,7 +34,6 @@ __all__ = [
     "orbit",
     "padded_endomap",
     "plot_levels",
-    "plot_points",
     "preimage_census",
     "reduced_map",
     "to_csv",
@@ -234,6 +233,8 @@ def orbit(
         raise ValueError("digit count must be >= 1")
     if not 0 <= x0 < p ** m:
         raise ValueError(f"start point {x0} outside Z/{p}^{m}")
+    if steps < 0:
+        raise ValueError(f"step count must be >= 0, got {steps}")
     _check_budget(steps, budget)
     f, _ = compile_map(e, p, m + lookahead_bound(e, p))
     modulus = p ** m
@@ -307,16 +308,6 @@ def plot_levels(m: ReducedLevelMap, n: int, k_values) -> PlotSet:
         raise ValueError("level width n must be >= 1")
     levels = {k: frozenset(enumerate(m.restrict(n + k, k).table)) for k in k_values}
     return PlotSet(m.p, n, levels)
-
-
-def plot_points(
-    e: MapExpr, p: int, n: int, k: int, budget: int | None = None
-) -> PlotSet:
-    """The level-k plot: (x / p**(n+k), f(x) mod p**k / p**k) over all
-    residues x mod p**(n+k), duplicates collapsed."""
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
-    return plot_levels(reduced_map(e, p, n + k, k, budget), n, (k,))
 
 
 def accumulate_plot(

@@ -1,25 +1,22 @@
-"""Exact arithmetic on p-adic integers truncated to K base-p digits.
+"""p-adic integers truncated to K base-p digits, and the exact helpers the
+pipeline reads them with.
 
-A value is stored as its residue mod p**K together with p and K.  Every
-operation is pure and exact, and reports the precision it can still
-guarantee; nothing here ever rounds.  Residues are arbitrary-precision
-integers, so p**K may exceed machine words freely.
+``PadicApprox`` is the value type of ``eval_map``: a residue mod p**K
+together with p and K, validated on construction.  The maps themselves
+are evaluated on bare integer residues; what is left here is the
+valuation of such a residue (exact, or a lower bound when it vanishes at
+working precision), the exact binomial coefficient, and the primality
+test every entry point applies to p.  Nothing here ever rounds.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-
-from .errors import PrecisionError
 
 __all__ = [
     "PadicApprox",
     "Valuation",
-    "PNorm",
     "binomial_eval",
-    "distance",
-    "from_digits",
     "is_prime",
     "residue_valuation",
 ]
@@ -70,54 +67,6 @@ class Valuation:
         return f"Exact({self.value})" if self.exact else f"AtLeast({self.value})"
 
 
-@dataclass(frozen=True)
-class PNorm:
-    """A p-adic absolute value p**-v, or a zero-at-precision marker.
-
-    The marker (``exact`` False) means the true norm is <= p**-K.  Order
-    comparisons sort the marker below every exactly-known norm.
-    """
-
-    p: int
-    valuation: Valuation
-
-    @property
-    def exact(self) -> bool:
-        return self.valuation.exact
-
-    @property
-    def value(self) -> Fraction | None:
-        """The norm as an exact rational; None for the marker."""
-        if not self.exact:
-            return None
-        return Fraction(1, self.p ** self.valuation.value)
-
-    @property
-    def upper_bound(self) -> Fraction:
-        """Smallest certified bound: equals ``value`` when exact."""
-        return Fraction(1, self.p ** self.valuation.value)
-
-    def _key(self) -> Fraction:
-        return self.upper_bound if self.exact else Fraction(0)
-
-    def __lt__(self, other: PNorm) -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: PNorm) -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: PNorm) -> bool:
-        return other < self
-
-    def __ge__(self, other: PNorm) -> bool:
-        return other <= self
-
-    def __str__(self) -> str:
-        if not self.exact:
-            return f"<={self.p}^-{self.valuation.value}"
-        return str(self.value)
-
-
 def residue_valuation(residue: int, p: int, precision: int) -> Valuation:
     """Valuation of a residue known mod p**precision."""
     if residue % p ** precision == 0:
@@ -149,84 +98,6 @@ class PadicApprox:
             raise ValueError(
                 f"residue {self.residue} out of range for {self.p}^{self.precision}"
             )
-
-    @classmethod
-    def from_int(cls, value: int, p: int, precision: int) -> PadicApprox:
-        """Reduce an arbitrary integer mod p**precision (negatives wrap)."""
-        return cls(p, precision, value % p ** precision)
-
-    def digit(self, i: int) -> int:
-        """The i-th base-p digit; only the first ``precision`` are known."""
-        if not 0 <= i < self.precision:
-            raise PrecisionError(f"digit {i} not known at precision {self.precision}")
-        return (self.residue // self.p ** i) % self.p
-
-    def digits(self) -> tuple[int, ...]:
-        return tuple(self.digit(i) for i in range(self.precision))
-
-    def reduce(self, k: int) -> PadicApprox:
-        """Image under the reduction map mod p**k, for k <= precision."""
-        if not 1 <= k <= self.precision:
-            raise PrecisionError(f"cannot reduce to level {k} from precision {self.precision}")
-        return PadicApprox(self.p, k, self.residue % self.p ** k)
-
-    def sigma(self, n: int = 1) -> PadicApprox:
-        """Drop the n lowest digits; costs n digits of precision."""
-        if n < 0:
-            raise ValueError("shift count must be >= 0")
-        if n >= self.precision:
-            raise PrecisionError(f"shift by {n} exhausts precision {self.precision}")
-        return PadicApprox(self.p, self.precision - n, self.residue // self.p ** n)
-
-    def is_unit(self) -> bool:
-        """Invertible in the p-adic integers iff the lowest digit is nonzero."""
-        return self.residue % self.p != 0
-
-    def valuation(self) -> Valuation:
-        return residue_valuation(self.residue, self.p, self.precision)
-
-    def norm(self) -> PNorm:
-        return PNorm(self.p, self.valuation())
-
-    def _binop(self, other: PadicApprox, op) -> PadicApprox:
-        if not isinstance(other, PadicApprox):
-            return NotImplemented
-        if self.p != other.p:
-            raise ValueError(f"mismatched primes {self.p} and {other.p}")
-        k = min(self.precision, other.precision)
-        return PadicApprox(self.p, k, op(self.residue, other.residue) % self.p ** k)
-
-    def __add__(self, other: PadicApprox) -> PadicApprox:
-        return self._binop(other, lambda a, b: a + b)
-
-    def __sub__(self, other: PadicApprox) -> PadicApprox:
-        return self._binop(other, lambda a, b: a - b)
-
-    def __mul__(self, other: PadicApprox) -> PadicApprox:
-        return self._binop(other, lambda a, b: a * b)
-
-
-def from_digits(digits, p: int) -> PadicApprox:
-    """Build a value from its base-p digits, lowest first."""
-    digits = list(digits)
-    if not digits:
-        raise ValueError("need at least one digit")
-    for d in digits:
-        if not 0 <= d < p:
-            raise ValueError(f"digit {d} out of range for base {p}")
-    residue = 0
-    for d in reversed(digits):
-        residue = residue * p + d
-    return PadicApprox(p, len(digits), residue)
-
-
-def distance(x: PadicApprox, y: PadicApprox) -> PNorm:
-    """p-adic distance |x - y|, a zero-at-precision marker when residues agree."""
-    if x.p != y.p:
-        raise ValueError(f"mismatched primes {x.p} and {y.p}")
-    k = min(x.precision, y.precision)
-    diff = (x.residue - y.residue) % x.p ** k
-    return PNorm(x.p, residue_valuation(diff, x.p, k))
 
 
 def binomial_eval(x_rep: int, m: int) -> int:

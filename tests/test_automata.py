@@ -1,10 +1,10 @@
 import pytest
 
 from conftest import IDENTITY_FILE, SHIFT1_FILE, XOR_PREV_FILE
+from test_kernel import guaranteed_output_length
 
 from padyn.automata import (
     check_nondegenerate,
-    guaranteed_output_length,
     make_shift_automaton,
     max_output_deficit,
     parse_automaton,
@@ -17,7 +17,7 @@ from padyn.errors import (
     UnboundedLookaheadError,
 )
 from padyn.mapdsl import AutoApply, Var, eval_map
-from padyn.padic import PadicApprox, distance
+from padyn.padic import PadicApprox, residue_valuation
 
 
 def all_empty_machine():
@@ -219,19 +219,18 @@ def test_induced_shift_equals_sigma(p, kmax):
         e = induced(make_shift_automaton(n, p))
         for K in range(n + 1, kmax + 1):
             for r in range(p**K):
-                x = PadicApprox(p, K, r)
-                assert eval_map(e, x) == x.sigma(n)
+                assert eval_map(e, PadicApprox(p, K, r)) == PadicApprox(p, K - n, r // p**n)
 
 
 def test_synchronous_induced_map_is_one_lipschitz():
     machine = parse_automaton(XOR_PREV_FILE)
     K = 6
     images = [eval_map(induced(machine), PadicApprox(2, K, r)) for r in range(2**K)]
+    assert all(image.precision == K for image in images)
     for a in range(2**K):
         for b in range(a + 1, 2**K):
-            x, y = PadicApprox(2, K, a), PadicApprox(2, K, b)
-            lhs = distance(images[a], images[b])
-            assert lhs.upper_bound <= distance(x, y).upper_bound
+            lhs = residue_valuation((images[a].residue - images[b].residue) % 2**K, 2, K)
+            assert lhs.value >= residue_valuation((a - b) % 2**K, 2, K).value
 
 
 def test_prefix_monotonicity():

@@ -66,6 +66,25 @@ def test_budget_env_override(monkeypatch, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "flag, env, message",
+    [
+        ("0", None, "--budget must be >= 1, got 0"),
+        ("-1", None, "--budget must be >= 1, got -1"),
+        (None, "0", "PADYN_BUDGET must be >= 1, got 0"),
+        (None, "abc", "PADYN_BUDGET must be an integer, got 'abc'"),
+    ],
+)
+def test_bad_budget_is_config_error(monkeypatch, capsys, flag, env, message):
+    # a budget that is not a positive integer is a mistake, not a blown budget
+    if env is not None:
+        monkeypatch.setenv("PADYN_BUDGET", env)
+    argv = ["cycles", "--map", "x", "--kmax", "3"]
+    code, _ = run_command(argv + (["--budget", flag] if flag is not None else []))
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kmax, code", [(11, 0), (12, 3)])
 def test_plotset_budget_counts_enumerated_points(kmax, code, capsys):
     # level kmax enumerates 2^(1 + kmax) points; the lookahead is not charged
@@ -278,6 +297,27 @@ def test_orbit_command():
     entry = report["cycles"][0]
     assert entry["points"] == [0, 1, 2, 3, 4]
     assert entry["cycle_start"] is None
+
+
+def test_orbit_rejects_negative_steps(capsys):
+    code, report = run_command(["orbit", "--map", "x+1", "--x0", "1", "--steps", "-3"])
+    assert code == 2 and report is None
+    assert "step count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "map_text, labels",
+    [
+        ("x+1", ["Transitive", "Transitive", "Transitive"]),
+        ("x^2+x+1", ["OneCycle(covers 1 of 2^1)", "OneCycle(covers 2 of 2^2)",
+                     "OneCycle(covers 4 of 2^3)"]),
+    ],
+)
+def test_cycle_label_says_transitive_only_for_a_full_cycle(capsys, map_text, labels):
+    code, _ = run_command(["cycles", "--p", "2", "--map", map_text, "--kmax", "3"])
+    assert code == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  m=")]
+    assert [row.split(", ")[1] for row in rows] == labels
 
 
 def test_preimages_command():

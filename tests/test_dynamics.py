@@ -11,7 +11,7 @@ from padyn.dynamics import (
     level_map,
     orbit,
     padded_endomap,
-    plot_points,
+    plot_levels,
     preimage_census,
     reduced_map,
     to_csv,
@@ -213,11 +213,16 @@ def test_orbit_validates_start():
         orbit(parse_map("x"), 2, 9, 2, 3)
 
 
+def test_orbit_rejects_negative_steps():
+    with pytest.raises(ValueError, match="step count"):
+        orbit(parse_map("x+1"), 2, 1, -3, 3)
+
+
 # --- plot sets ---------------------------------------------------------------
 
 
 def test_plot_points_shift():
-    ps = plot_points(parse_map("sigma(x)"), 2, 1, 1)
+    ps = accumulate_plot(parse_map("sigma(x)"), 2, 1, 1)
     assert ps.points == {
         (Fraction(0), Fraction(0)),
         (Fraction(1, 4), Fraction(0)),
@@ -227,7 +232,7 @@ def test_plot_points_shift():
 
 
 def test_plot_points_identity():
-    ps = plot_points(parse_map("x"), 2, 1, 1)
+    ps = accumulate_plot(parse_map("x"), 2, 1, 1)
     assert ps.points == {
         (Fraction(0), Fraction(0)),
         (Fraction(1, 4), Fraction(1, 2)),
@@ -239,8 +244,8 @@ def test_plot_points_identity():
 def test_plot_point_count_bound(corpus_texts):
     for text in corpus_texts:
         for k in (1, 2, 3):
-            ps = plot_points(parse_map(text), 2, 1, k)
-            assert len(ps.points) <= 2 ** (1 + k)
+            ps = accumulate_plot(parse_map(text), 2, 1, k)
+            assert len(ps.levels[k]) <= 2 ** (1 + k)
 
 
 def test_accumulated_levels_equal_single_level_plots():
@@ -248,18 +253,18 @@ def test_accumulated_levels_equal_single_level_plots():
     ps = accumulate_plot(e, 3, 1, 3)
     assert ps.k_values == (1, 2, 3)
     for k in ps.k_values:
-        assert ps.levels[k] == plot_points(e, 3, 1, k).levels[k]
+        assert ps.levels[k] == plot_levels(reduced_map(e, 3, 1 + k, k), 1, (k,)).levels[k]
 
 
 def test_plot_points_budget_counts_enumerated_points():
     e = parse_map("sigma(x)")  # lookahead 1 is not charged
-    assert len(plot_points(e, 2, 1, 3, budget=16).levels[3]) <= 16
+    assert len(accumulate_plot(e, 2, 1, 3, budget=16).levels[3]) <= 16
     with pytest.raises(BudgetError):
-        plot_points(e, 2, 1, 3, budget=15)
+        accumulate_plot(e, 2, 1, 3, budget=15)
 
 
 def test_plot_denominators_divide_the_level_moduli():
-    ps = plot_points(parse_map("sigma(x)"), 2, 1, 3)
+    ps = accumulate_plot(parse_map("sigma(x)"), 2, 1, 3)
     for x, y in ps.levels[3]:
         assert 2 ** 4 % x.denominator == 0
         assert 2 ** 3 % y.denominator == 0
@@ -269,7 +274,7 @@ def test_plot_denominators_divide_the_level_moduli():
 
 
 def test_box_count_shift_level_one():
-    bc = box_count(plot_points(parse_map("sigma(x)"), 2, 1, 1), 2)
+    bc = box_count(accumulate_plot(parse_map("sigma(x)"), 2, 1, 1), 2)
     assert bc.covered_cells == {(0, 0), (1, 1)}
     assert bc.fraction == Fraction(1, 2)
 
@@ -296,7 +301,7 @@ def test_box_count_at_full_resolution_counts_points():
 def test_shift_plot_band(corpus_texts):
     # every shift plot point hugs the diagonal at its level
     for k in range(1, 7):
-        for x, y in plot_points(parse_map("sigma(x)"), 2, 1, k).levels[k]:
+        for x, y in accumulate_plot(parse_map("sigma(x)"), 2, 1, k).levels[k]:
             assert abs(y - x) <= Fraction(1, 2 ** (k + 1))
 
 
@@ -304,7 +309,7 @@ def test_shift_plot_band(corpus_texts):
 
 
 def test_csv_format():
-    text = to_csv(plot_points(parse_map("sigma(x)"), 2, 1, 1))
+    text = to_csv(accumulate_plot(parse_map("sigma(x)"), 2, 1, 1))
     lines = text.splitlines()
     assert lines[0] == "xnum,xden,ynum,yden"
     assert lines[1] == "0,1,0,1"
@@ -312,7 +317,7 @@ def test_csv_format():
 
 
 def test_pgm_format():
-    bc = box_count(plot_points(parse_map("sigma(x)"), 2, 1, 1), 2)
+    bc = box_count(accumulate_plot(parse_map("sigma(x)"), 2, 1, 1), 2)
     text = to_pgm(bc)
     lines = text.splitlines()
     assert lines[:3] == ["P2", "2 2", "1"]

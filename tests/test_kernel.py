@@ -4,6 +4,11 @@
 it walks the tree at every point and makes every precision check there.
 The kernel must agree with it digit for digit, and must raise the same
 PrecisionError where the input precision is too small.
+
+``guaranteed_output_length`` is the reference's digit count for an
+automaton node: the fewest letters any input of length k makes the
+machine emit.  The kernel certifies k minus the machine's largest output
+deficit, which is never more than this count.
 """
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import CORPUS
 
 from padyn import automata
-from padyn.errors import PrecisionError
+from padyn.errors import DegenerateAutomatonError, PrecisionError
 from padyn.mapdsl import (
     Add,
     AutoApply,
@@ -31,6 +36,24 @@ from padyn.mapdsl import (
     tabulate,
 )
 from padyn.padic import PadicApprox, binomial_eval
+
+
+def guaranteed_output_length(a: automata.Automaton, input_len: int) -> int:
+    """Minimum emitted length over all inputs of the given length."""
+    verdict = automata.check_nondegenerate(a)
+    if not verdict.nondegenerate:
+        raise DegenerateAutomatonError(f"degenerate at state {verdict.witness}")
+    best = {a.initial: 0}
+    for _ in range(input_len):
+        nxt: dict[str, int] = {}
+        for s, emitted in best.items():
+            for letter in range(a.p):
+                t = a.transitions[(s, letter)]
+                total = emitted + len(a.outputs[(s, letter)])
+                if t not in nxt or total < nxt[t]:
+                    nxt[t] = total
+        best = nxt
+    return min(best.values())
 
 
 def _eval(e, lift: int, precision: int, p: int, cap: int) -> tuple[int, int]:
@@ -82,7 +105,7 @@ def _eval(e, lift: int, precision: int, p: int, cap: int) -> tuple[int, int]:
         v, k = _eval(e.operand, lift, precision, p, cap)
         rep = v % p ** k
         word = [(rep // p ** i) % p for i in range(k)]
-        certain = automata.guaranteed_output_length(machine, k)
+        certain = guaranteed_output_length(machine, k)
         if certain < 1:
             raise PrecisionError("automaton output exhausts working precision")
         trace = automata.run(machine, word)

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import automata, dynamics, mahler
@@ -180,16 +181,15 @@ def _cycle_row(m: int, report: dynamics.CycleReport) -> dict:
 def _plotset_section(top: dynamics.ReducedLevelMap, args) -> dict:
     """The plot-set summary; also writes the --csv and --pgm files."""
     ps = dynamics.plot_levels(top, args.n, range(1, args.kmax + 1))
-    bc = dynamics.box_count(ps, args.grid)
-    if args.csv:
-        Path(args.csv).write_text(dynamics.to_csv(ps))
+    with open(args.csv, "w") if args.csv else nullcontext() as csv:
+        bc = dynamics.box_count(ps, args.grid, csv)
     if args.pgm:
         Path(args.pgm).write_text(dynamics.to_pgm(bc))
     return {
         "n": args.n,
         "k_max": args.kmax,
-        "points": len(ps.numerators),
-        "per_level": [{"k": k, "points": len(ps.level_numerators[k])} for k in ps.k_values],
+        "points": bc.points,
+        "per_level": [{"k": k, "points": args.p ** (args.n + k)} for k in ps.k_values],
         "box": [
             {
                 "grid": bc.grid,
@@ -236,6 +236,8 @@ def _dispatch(args, budget) -> dict:
                 except UnboundedLookaheadError:
                     report["verdicts"]["lookahead"] = {"kind": "unbounded", "deficit": None}
         else:
+            if bad := [c for c in args.word if c not in "0123456789"]:
+                raise ValueError(f"--word must be a digit string; {bad[0]!r} is not a digit")
             word = [int(c) for c in args.word]
             trace = automata.run(machine, word)
             report["verdicts"]["run"] = {
@@ -289,6 +291,8 @@ def _dispatch(args, budget) -> dict:
 
     checks = [args.which] if args.subcommand == "check" else list(_CHECKS)[:-1]
     for which in checks:
+        if which in ("cs-mp", "cs-ergodic") and args.mmax < args.p ** args.n:
+            raise ValueError(f"check {which} needs --mmax >= p^n = {args.p ** args.n}")
         report["verdicts"][which.replace("-", "_")] = _CHECKS[which](coeffs, args).to_json()
     if args.subcommand == "check":
         return report

@@ -3,7 +3,9 @@
 Everything here is ground truth by exhaustion: reduced level maps with
 their preimage censuses (the measure-preservation criterion), functional
 graphs with full cycle decompositions (the ergodicity condition), orbits,
-and the unit-square plot sets with exact-rational box counting.
+and the unit-square plot sets with exact-rational box counting, read off
+the table in one ascending walk of x with no point set: memory is the
+table plus one byte per grid cell, and the CSV keeps its sorted order.
 
 Non-1-Lipschitz maps are reduced with the zero-padded lift convention:
 the representative of a residue class is always its unique lift in
@@ -15,8 +17,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import KW_ONLY, InitVar, dataclass
 from fractions import Fraction
-from functools import cached_property
+from io import StringIO
 from math import gcd
+from typing import TextIO
 
 from .mapdsl import MapExpr, _check_budget, compile_map, lookahead_bound, tabulate
 
@@ -69,6 +72,12 @@ class ReducedLevelMap:
     def restrict(self, domain_digits: int, codomain_digits: int) -> ReducedLevelMap:
         """The reduction Z/p**domain_digits -> Z/p**codomain_digits read off
         this table: its first p**domain_digits entries, reduced."""
+        self._require_digits(domain_digits, codomain_digits)
+        modulus = self.p ** codomain_digits
+        table = tuple(v % modulus for v in self.table[: self.p ** domain_digits])
+        return _level(self.p, domain_digits, codomain_digits, table)
+
+    def _require_digits(self, domain_digits: int, codomain_digits: int) -> None:
         if not (
             1 <= domain_digits <= self.domain_digits
             and 1 <= codomain_digits <= self.codomain_digits
@@ -78,9 +87,6 @@ class ReducedLevelMap:
                 f"Z/{self.p}^{self.codomain_digits} cannot give Z/{self.p}^"
                 f"{domain_digits} -> Z/{self.p}^{codomain_digits}"
             )
-        modulus = self.p ** codomain_digits
-        table = tuple(v % modulus for v in self.table[: self.p ** domain_digits])
-        return _level(self.p, domain_digits, codomain_digits, table)
 
 
 def _level(p: int, domain_digits: int, codomain_digits: int, table) -> ReducedLevelMap:
@@ -256,36 +262,34 @@ def orbit(
 
 @dataclass(frozen=True)
 class PlotSet:
-    """Exact rational points of the unit-square plot, grouped by level.
+    """The unit-square plot of the ascending levels ``k_values`` of table m: level k
+    is the pairs (x, m.table[x] mod p**k), x < p**(n+k), for the points
+    (x / p**(n+k), y / p**k).  ``box_count`` and ``to_csv`` walk the table;
+    the point sets below are views built on access."""
 
-    Level k holds integer pairs (x, y) for the points (x / p**(n+k), y / p**k);
-    ``levels`` and ``points`` are the same sets as ``Fraction`` pairs.
-    """
-
-    p: int
+    m: ReducedLevelMap
     n: int
-    level_numerators: dict[int, frozenset[tuple[int, int]]]
+    k_values: tuple[int, ...]
 
     @property
-    def k_values(self) -> tuple[int, ...]:
-        return tuple(sorted(self.level_numerators))
+    def p(self) -> int:
+        return self.m.p
 
     @property
     def denominators(self) -> tuple[int, int]:
         """(p**(n+kmax), p**kmax), the denominators of ``numerators``."""
-        k_max = max(self.level_numerators, default=0)
+        k_max = max(self.k_values, default=0)
         return self.p ** (self.n + k_max), self.p ** k_max
 
-    @cached_property
+    @property
+    def level_numerators(self) -> dict[int, frozenset[tuple[int, int]]]:
+        return {k: frozenset(enumerate(self.m.restrict(self.n + k, k).table)) for k in self.k_values}
+
+    @property
     def numerators(self) -> frozenset[tuple[int, int]]:
         """Every level merged over ``denominators``; at fixed denominators
         the integer pairs sort as the rationals do."""
-        y_den = self.denominators[1]
-        merged: set[tuple[int, int]] = set()
-        for k, pts in self.level_numerators.items():
-            scale = y_den // self.p ** k
-            merged.update((x * scale, y * scale) for x, y in pts)
-        return frozenset(merged)
+        return frozenset((x, y) for x, ys in _columns(self) for y in ys)
 
     @property
     def levels(self) -> dict[int, frozenset[tuple[Fraction, Fraction]]]:
@@ -301,13 +305,37 @@ def _fractions(pts, x_den: int, y_den: int) -> frozenset[tuple[Fraction, Fractio
     return frozenset((Fraction(x, x_den), Fraction(y, y_den)) for x, y in pts)
 
 
+def _columns(ps: PlotSet):
+    """Yield (x, sorted distinct y numerators above x) for every x over
+    ``ps.denominators``: level k has a point above x iff p**(kmax-k) | x,
+    with y numerator (t[x / p**(kmax-k)] mod p**k) * p**(kmax-k)."""
+    if not ps.k_values:
+        return
+    p, t, k_max = ps.p, ps.m.table, ps.k_values[-1]
+    top = p ** k_max
+    # (scale, modulus) per level, finest first: the levels above x are a prefix
+    scales = [(p ** (k_max - k), p ** k) for k in reversed(ps.k_values)]
+    for x in range(p ** (ps.n + k_max)):
+        if x % p:  # only level kmax, whose scale is 1
+            yield x, (t[x] % top,)
+            continue
+        ys = set()
+        for scale, modulus in scales:
+            if x % scale:
+                break
+            ys.add(t[x // scale] % modulus * scale)
+        yield x, sorted(ys)
+
+
 def plot_levels(m: ReducedLevelMap, n: int, k_values) -> PlotSet:
     """Plot levels read off one table: level k is the point set of
     ``m.restrict(n + k, k)``, so m must cover Z/p**(n+k) -> Z/p**k."""
     if n < 1:
         raise ValueError("level width n must be >= 1")
-    levels = {k: frozenset(enumerate(m.restrict(n + k, k).table)) for k in k_values}
-    return PlotSet(m.p, n, levels)
+    k_values = tuple(sorted(set(k_values)))
+    for k in k_values:
+        m._require_digits(n + k, k)
+    return PlotSet(m, n, k_values)
 
 
 def accumulate_plot(
@@ -321,46 +349,64 @@ def accumulate_plot(
 
 @dataclass(frozen=True)
 class BoxCount:
+    """One byte per grid cell, 1 = covered, cell (i, j) at ``cells[j * grid + i]``;
+    ``points`` counts the distinct plot points boxed."""
+
     grid: int
-    covered_cells: frozenset[tuple[int, int]]
+    cells: bytes
+    points: int
+
+    @property
+    def covered_cells(self) -> frozenset[tuple[int, int]]:
+        return frozenset(divmod(c, self.grid)[::-1] for c, v in enumerate(self.cells) if v)
 
     @property
     def covered(self) -> int:
-        return len(self.covered_cells)
+        return self.cells.count(1)
 
     @property
     def fraction(self) -> Fraction:
         return Fraction(self.covered, self.grid * self.grid)
 
 
-def box_count(ps: PlotSet, grid: int) -> BoxCount:
-    """Fraction of grid cells containing at least one plot point.
+def box_count(ps: PlotSet, grid: int, csv: TextIO | None = None) -> BoxCount:
+    """Grid cells holding at least one plot point, in one walk of the table.
 
     Cell assignment is exact: a point lands in cell floor(coord * grid),
-    computed on its integer numerator over the common denominator.
+    computed on its integer numerator over the common denominator.  Given
+    a text stream ``csv``, the same walk writes the ``to_csv`` dump to it.
     """
     if grid < 1:
         raise ValueError("grid size must be >= 1")
     x_den, y_den = ps.denominators
-    cells = frozenset((x * grid // x_den, y * grid // y_den) for x, y in ps.numerators)
-    return BoxCount(grid, cells)
+    cells = bytearray(grid * grid)
+    points = 0
+    if csv is not None:
+        csv.write("xnum,xden,ynum,yden\n")
+    for x, ys in _columns(ps):
+        points += len(ys)
+        i = x * grid // x_den
+        for y in ys:
+            cells[y * grid // y_den * grid + i] = 1
+        if csv is not None:
+            gx = gcd(x, x_den)
+            for y in ys:
+                gy = gcd(y, y_den)
+                csv.write(f"{x // gx},{x_den // gx},{y // gy},{y_den // gy}\n")
+    return BoxCount(grid, bytes(cells), points)
 
 
 def to_csv(ps: PlotSet) -> str:
-    """Deterministic point dump of the accumulated plot set, in lowest terms."""
-    x_den, y_den = ps.denominators
-    lines = ["xnum,xden,ynum,yden"]
-    for x, y in sorted(ps.numerators):
-        gx, gy = gcd(x, x_den), gcd(y, y_den)
-        lines.append(f"{x // gx},{x_den // gx},{y // gy},{y_den // gy}")
-    return "\n".join(lines) + "\n"
+    """Deterministic point dump of the plot set, in lowest terms, sorted by x then y."""
+    out = StringIO()
+    box_count(ps, 1, out)
+    return out.getvalue()
 
 
 def to_pgm(bc: BoxCount) -> str:
     """Plain PGM (P2) raster of the covered cells; row 0 is the top."""
     g = bc.grid
     lines = ["P2", f"{g} {g}", "1"]
-    for row in range(g):
-        j = g - 1 - row
-        lines.append(" ".join("1" if (i, j) in bc.covered_cells else "0" for i in range(g)))
+    for j in reversed(range(g)):
+        lines.append(" ".join(map(str, bc.cells[j * g : (j + 1) * g])))
     return "\n".join(lines) + "\n"

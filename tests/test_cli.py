@@ -142,6 +142,24 @@ def test_analyze_evaluates_each_point_once(monkeypatch, shift1_path, p, n, kmax,
     assert calls == max(p ** (n * kmax), p ** (n + kmax)) + mmax + 1
 
 
+@pytest.mark.parametrize(
+    "argv, check, minimum",
+    [
+        (["analyze", "--map", "x", "--mmax", "1"], "cs-mp", 2),
+        (["check", "cs-mp", "--map", "x", "--n", "2", "--mmax", "3"], "cs-mp", 4),
+        (["check", "cs-ergodic", "--map", "x", "--p", "3", "--mmax", "2"], "cs-ergodic", 3),
+    ],
+)
+def test_mmax_below_p_to_the_n_names_the_flag_and_the_check(argv, check, minimum, capsys):
+    code, report = run_command(argv)
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert "--mmax" in err and f"check {check} " in err and f"= {minimum}" in err
+    # at the minimum the check runs
+    argv[argv.index("--mmax") + 1] = str(minimum)
+    assert run_command(argv)[0] == 0
+
+
 def test_orbit_steps_are_budgeted(capsys):
     argv = ["orbit", "--map", "x+1", "--x0", "0", "--m", "8", "--steps", "50", "--budget"]
     assert run_command(argv + ["50"])[0] == 0
@@ -357,6 +375,15 @@ def test_automaton_run(tmp_path, capsys):
     assert code == 0
     assert report["verdicts"]["run"]["output"] == "101"
     assert report["verdicts"]["nondegenerate"]["kind"] == "nondegenerate"
+
+
+def test_automaton_run_names_a_bad_word_letter(tmp_path, capsys):
+    aut = tmp_path / "shift.aut"
+    aut.write_text(SHIFT1_FILE)
+    code, report = run_command(["automaton", "run", "--file", str(aut), "--word", "1a"])
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert "--word" in err and "'a'" in err
 
 
 def test_automaton_check(tmp_path):

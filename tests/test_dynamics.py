@@ -1,9 +1,14 @@
+import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import CORPUS
+from test_kernel import EXPRESSIONS
 
 from padyn.dynamics import (
-    PlotSet,
     ReducedLevelMap,
     accumulate_plot,
     box_count,
@@ -17,7 +22,7 @@ from padyn.dynamics import (
     to_csv,
     to_pgm,
 )
-from padyn.errors import BudgetError
+from padyn.errors import BudgetError, PadynError
 from padyn.mapdsl import eval_map, lookahead_bound, parse_map
 from padyn.padic import PadicApprox
 
@@ -280,7 +285,8 @@ def test_box_count_shift_level_one():
 
 
 def test_box_count_empty():
-    assert box_count(PlotSet(2, 1, {}), 7).fraction == 0
+    m = padded_endomap(parse_map("x"), 2, 1)
+    assert box_count(plot_levels(m, 1, ()), 7).fraction == 0
 
 
 def test_box_count_grid_refinement():
@@ -346,3 +352,101 @@ def test_integer_plot_set_matches_its_fraction_view(text, p, n, k_max):
         }
         assert box_count(ps, grid).covered_cells == cells
     assert ps.points == frozenset().union(*ps.levels.values())
+
+
+# --- the walk against the level-set merge ---------------------------------------
+
+
+def reference_plot(m, n, k_values, grid):
+    """The plot path the walk replaced: every level as a frozenset, their
+    merge over the common denominators, a sorted CSV in lowest terms by
+    gcd, a set of box cells and the PGM drawn from that set."""
+    p = m.p
+    levels = {k: frozenset(enumerate(m.restrict(n + k, k).table)) for k in k_values}
+    k_max = max(levels, default=0)
+    x_den, y_den = p ** (n + k_max), p ** k_max
+    merged = set()
+    for k, pts in levels.items():
+        scale = y_den // p**k
+        merged.update((x * scale, y * scale) for x, y in pts)
+    lines = ["xnum,xden,ynum,yden"]
+    for x, y in sorted(merged):
+        gx, gy = gcd(x, x_den), gcd(y, y_den)
+        lines.append(f"{x // gx},{x_den // gx},{y // gy},{y_den // gy}")
+    cells = frozenset((x * grid // x_den, y * grid // y_den) for x, y in merged)
+    rows = ["P2", f"{grid} {grid}", "1"]
+    for row in range(grid):
+        j = grid - 1 - row
+        rows.append(" ".join("1" if (i, j) in cells else "0" for i in range(grid)))
+    return {
+        "csv": "\n".join(lines) + "\n",
+        "pgm": "\n".join(rows) + "\n",
+        "points": len(merged),
+        "numerators": frozenset(merged),
+        "cells": cells,
+        "per_level": {k: len(pts) for k, pts in levels.items()},
+    }
+
+
+def assert_walk_matches_reference(m, n, k_values, grid):
+    ps = plot_levels(m, n, k_values)
+    bc = box_count(ps, grid)
+    ref = reference_plot(m, n, k_values, grid)
+    assert to_csv(ps) == ref["csv"]
+    assert to_pgm(bc) == ref["pgm"]
+    assert bc.points == ref["points"]
+    assert ps.numerators == ref["numerators"]
+    assert bc.covered_cells == ref["cells"]
+    assert bc.covered == len(ref["cells"])
+    # the CLI reports level k as p**(n+k) points without building it
+    assert ref["per_level"] == {k: m.p ** (n + k) for k in k_values}
+    assert {k: len(pts) for k, pts in ps.level_numerators.items()} == ref["per_level"]
+
+
+# (k_max, k_values) per prime: every level, gaps, and single levels
+PLOT_LEVELS = {
+    2: (4, [range(1, 5), (1, 3, 4), (2, 4), (1,), (3,), (4,)]),
+    3: (3, [range(1, 4), (1, 3), (2,), (3,)]),
+    5: (2, [range(1, 3), (1,), (2,)]),
+}
+
+
+@pytest.mark.parametrize("p", sorted(PLOT_LEVELS))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_plot_walk_matches_level_set_merge(p, n):
+    k_max, level_choices = PLOT_LEVELS[p]
+    for text in CORPUS:
+        # a table one digit larger than needed, as the analyze table is
+        m = reduced_map(parse_map(text), p, n + k_max + 1, k_max + 1)
+        for k_values in level_choices:
+            for grid in (1, 7, p**k_max):
+                assert_walk_matches_reference(m, n, tuple(k_values), grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_plot_walk_matches_level_set_merge_on_random_maps(data):
+    p = data.draw(st.sampled_from(sorted(EXPRESSIONS)))
+    e = data.draw(EXPRESSIONS[p])
+    n = data.draw(st.integers(1, 2))
+    k_max = data.draw(st.integers(1, {2: 5, 3: 3, 5: 2}[p]))
+    k_values = data.draw(st.sets(st.integers(1, k_max), min_size=1))
+    grid = data.draw(st.sampled_from([1, 5, p**k_max]))
+    try:
+        m = reduced_map(e, p, n + k_max, k_max)
+    except PadynError:
+        return
+    assert_walk_matches_reference(m, n, tuple(k_values), grid)
+
+
+@pytest.mark.parametrize("k", [12, 14])
+def test_box_count_memory_is_the_grid_not_the_points(k):
+    # the table is built before tracing starts, so the peak is the walk's own
+    ps = accumulate_plot(parse_map("x^2+x+1"), 2, 1, k)
+    tracemalloc.start()
+    try:
+        box_count(ps, 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak

@@ -181,6 +181,8 @@ def _cycle_row(m: int, report: dynamics.CycleReport) -> dict:
 def _plotset_section(top: dynamics.ReducedLevelMap, args) -> dict:
     """The plot-set summary; also writes the --csv and --pgm files."""
     ps = dynamics.plot_levels(top, args.n, range(1, args.kmax + 1))
+    if args.grid < 1:  # before --csv is opened
+        raise ValueError("grid size must be >= 1")
     with open(args.csv, "w") if args.csv else nullcontext() as csv:
         bc = dynamics.box_count(ps, args.grid, csv)
     if args.pgm:
@@ -291,9 +293,11 @@ def _dispatch(args, budget) -> dict:
 
     checks = [args.which] if args.subcommand == "check" else list(_CHECKS)[:-1]
     for which in checks:
-        if which in ("cs-mp", "cs-ergodic") and args.mmax < args.p ** args.n:
-            raise ValueError(f"check {which} needs --mmax >= p^n = {args.p ** args.n}")
-        report["verdicts"][which.replace("-", "_")] = _CHECKS[which](coeffs, args).to_json()
+        try:
+            verdict = _CHECKS[which](coeffs, args)
+        except mahler.CoefficientRangeError as exc:
+            raise ValueError(f"check {which} needs --mmax >= p^n = {exc.needed}") from None
+        report["verdicts"][which.replace("-", "_")] = verdict.to_json()
     if args.subcommand == "check":
         return report
 

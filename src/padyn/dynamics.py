@@ -3,9 +3,8 @@
 Everything here is ground truth by exhaustion: reduced level maps with
 their preimage censuses (the measure-preservation criterion), functional
 graphs with full cycle decompositions (the ergodicity condition), orbits,
-and the unit-square plot sets with exact-rational box counting, read off
-the table in one ascending walk of x with no point set: memory is the
-table plus one byte per grid cell, and the CSV keeps its sorted order.
+and the unit-square plot sets with exact-rational box counting, read in
+one walk of the table: memory is the table plus one byte per grid cell.
 
 Non-1-Lipschitz maps are reduced with the zero-padded lift convention:
 the representative of a residue class is always its unique lift in
@@ -262,24 +261,26 @@ def orbit(
 
 @dataclass(frozen=True)
 class PlotSet:
-    """The unit-square plot of the ascending levels ``k_values`` of table m: level k
-    is the pairs (x, m.table[x] mod p**k), x < p**(n+k), for the points
-    (x / p**(n+k), y / p**k).  ``box_count`` and ``to_csv`` walk the table;
-    the point sets below are views built on access."""
+    """The unit-square plot of the levels ``k_values`` (kept sorted) of table m:
+    level k is the pairs (x, m.table[x] mod p**k), x < p**(n+k), for the
+    points (x / p**(n+k), y / p**k).  The point sets are views built on access."""
 
     m: ReducedLevelMap
     n: int
     k_values: tuple[int, ...]
 
-    @property
-    def p(self) -> int:
-        return self.m.p
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError("level width n must be >= 1")
+        object.__setattr__(self, "k_values", tuple(sorted(set(self.k_values))))
+        for k in self.k_values:
+            self.m._require_digits(self.n + k, k)
 
     @property
     def denominators(self) -> tuple[int, int]:
         """(p**(n+kmax), p**kmax), the denominators of ``numerators``."""
         k_max = max(self.k_values, default=0)
-        return self.p ** (self.n + k_max), self.p ** k_max
+        return self.m.p ** (self.n + k_max), self.m.p ** k_max
 
     @property
     def level_numerators(self) -> dict[int, frozenset[tuple[int, int]]]:
@@ -293,7 +294,7 @@ class PlotSet:
 
     @property
     def levels(self) -> dict[int, frozenset[tuple[Fraction, Fraction]]]:
-        p, n = self.p, self.n
+        p, n = self.m.p, self.n
         return {k: _fractions(pts, p ** (n + k), p ** k) for k, pts in self.level_numerators.items()}
 
     @property
@@ -311,12 +312,12 @@ def _columns(ps: PlotSet):
     with y numerator (t[x / p**(kmax-k)] mod p**k) * p**(kmax-k)."""
     if not ps.k_values:
         return
-    p, t, k_max = ps.p, ps.m.table, ps.k_values[-1]
+    p, t, k_max = ps.m.p, ps.m.table, ps.k_values[-1]
     top = p ** k_max
     # (scale, modulus) per level, finest first: the levels above x are a prefix
     scales = [(p ** (k_max - k), p ** k) for k in reversed(ps.k_values)]
     for x in range(p ** (ps.n + k_max)):
-        if x % p:  # only level kmax, whose scale is 1
+        if x % p:  # only level kmax, whose scale is 1: no set to build
             yield x, (t[x] % top,)
             continue
         ys = set()
@@ -330,11 +331,6 @@ def _columns(ps: PlotSet):
 def plot_levels(m: ReducedLevelMap, n: int, k_values) -> PlotSet:
     """Plot levels read off one table: level k is the point set of
     ``m.restrict(n + k, k)``, so m must cover Z/p**(n+k) -> Z/p**k."""
-    if n < 1:
-        raise ValueError("level width n must be >= 1")
-    k_values = tuple(sorted(set(k_values)))
-    for k in k_values:
-        m._require_digits(n + k, k)
     return PlotSet(m, n, k_values)
 
 
@@ -349,8 +345,7 @@ def accumulate_plot(
 
 @dataclass(frozen=True)
 class BoxCount:
-    """One byte per grid cell, 1 = covered, cell (i, j) at ``cells[j * grid + i]``;
-    ``points`` counts the distinct plot points boxed."""
+    """``cells[j * grid + i]`` is 1 iff cell (i, j) holds one of the ``points`` points."""
 
     grid: int
     cells: bytes

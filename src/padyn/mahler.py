@@ -17,6 +17,7 @@ from .mapdsl import MapExpr, binomial_degree, tabulate
 from .padic import Valuation, binomial_eval, residue_valuation
 
 __all__ = [
+    "CoefficientRangeError",
     "MahlerCoeffs",
     "Verdict",
     "check_bernoulli_properties",
@@ -31,6 +32,14 @@ __all__ = [
 
 _SPLIT_CUTOFF = 32  # Mahler rows up to this length take the plain difference loop (measured)
 _DIVIDES = "a_{} = 0 (mod p^{})".format  # the clause p**req | a_m, as condition(m, req)
+
+
+class CoefficientRangeError(ValueError):
+    """A check needs the coefficients up to index ``needed``, past ``max_index``."""
+
+    def __init__(self, message: str, needed: int):
+        super().__init__(message)
+        self.needed = needed
 
 
 @dataclass(frozen=True)
@@ -342,8 +351,8 @@ def _require_up_to(c: MahlerCoeffs, n: int) -> int:
         raise ValueError("complex-shift level must be >= 1")
     block = c.p ** n
     if c.max_index < block:
-        raise ValueError(
-            f"need coefficients up to index p^{n} = {block}, have {c.max_index}"
+        raise CoefficientRangeError(
+            f"need coefficients up to index p^{n} = {block}, have {c.max_index}", block
         )
     return block
 

@@ -363,6 +363,18 @@ def test_plotset_command_writes_artifacts(tmp_path):
     assert report["plotset"]["points"] == len(csv.read_text().splitlines()) - 1
 
 
+@pytest.mark.parametrize("subcommand", ["plotset", "analyze"])
+def test_bad_grid_leaves_the_csv_file_alone(subcommand, tmp_path, capsys):
+    csv = tmp_path / "points.csv"
+    argv = [subcommand, "--map", "sigma(x)", "--kmax", "3", "--grid", "0", "--csv", str(csv)]
+    assert run_command(argv) == (2, None)
+    assert "grid size must be >= 1" in capsys.readouterr().err
+    assert not csv.exists()
+    csv.write_text("kept\n")
+    assert run_command(argv)[0] == 2
+    assert csv.read_text() == "kept\n"
+
+
 # --- automaton subcommands ---------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from conftest import CORPUS
 from test_kernel import EXPRESSIONS
 
 from padyn.dynamics import (
+    PlotSet,
     ReducedLevelMap,
     accumulate_plot,
     box_count,
@@ -421,6 +422,21 @@ def test_plot_walk_matches_level_set_merge(p, n):
         for k_values in level_choices:
             for grid in (1, 7, p**k_max):
                 assert_walk_matches_reference(m, n, tuple(k_values), grid)
+
+
+def test_plot_set_constructor_sorts_and_checks_its_levels():
+    m = reduced_map(parse_map("x^2+x+1"), 2, 5, 4)
+    ps = PlotSet(m, 1, (3, 1, 3))
+    assert ps.k_values == (1, 3)
+    assert ps.denominators == (2**4, 2**3)
+    ref = reference_plot(m, 1, (3, 1, 3), 8)
+    bc = box_count(ps, 8)
+    assert to_csv(ps) == ref["csv"]
+    assert (bc.points, bc.covered_cells) == (ref["points"], ref["cells"])
+    # n >= 1, and m must cover Z/p**(n+k) -> Z/p**k at every level k >= 1
+    for n, k_values in [(0, (1,)), (1, (0, 1)), (1, (1, 5)), (4, (2,))]:
+        with pytest.raises(ValueError):
+            PlotSet(m, n, k_values)
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,6 +10,7 @@ enumeration or precision budgets (exit 3) are process failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -42,6 +43,7 @@ _CHECKS = {
 }
 
 
+@functools.cache  # built on first use, then shared: parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", type=int, default=2, help="prime alphabet size")
@@ -391,9 +393,8 @@ def render_report(report: dict, fmt: str = "text") -> str:
 
 def run_command(argv) -> tuple[int, dict | None]:
     """Run one CLI invocation; returns (exit code, report or None)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _build_parser().parse_args(list(argv))
     except SystemExit as exc:
         return (exc.code if isinstance(exc.code, int) else 2), None
     started = time.perf_counter()

@@ -398,10 +398,12 @@ def to_csv(ps: PlotSet) -> str:
     return out.getvalue()
 
 
+_PGM_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def to_pgm(bc: BoxCount) -> str:
-    """Plain PGM (P2) raster of the covered cells; row 0 is the top."""
+    """Plain PGM (P2) raster of the covered cells via one bytes.translate; row 0 is the top."""
     g = bc.grid
-    lines = ["P2", f"{g} {g}", "1"]
-    for j in reversed(range(g)):
-        lines.append(" ".join(map(str, bc.cells[j * g : (j + 1) * g])))
-    return "\n".join(lines) + "\n"
+    text = bc.cells.translate(_PGM_DIGITS).decode("ascii")
+    rows = (" ".join(text[j * g : (j + 1) * g]) for j in reversed(range(g)))
+    return "\n".join(["P2", f"{g} {g}", "1", *rows]) + "\n"

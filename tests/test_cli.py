@@ -4,7 +4,7 @@ import pytest
 
 from conftest import SHIFT1_FILE
 
-from padyn import mapdsl
+from padyn import cli, mapdsl
 from padyn.cli import render_report, run_command
 from padyn.mahler import Verdict
 
@@ -281,6 +281,50 @@ def test_json_determinism(tmp_path):
         data.pop("timing")
         blobs.append(json.dumps(data, sort_keys=True))
     assert blobs[0] == blobs[1]
+
+
+def test_parser_reuse_is_invisible(shift1_path, monkeypatch):
+    # one process, one shared parser: every call's report, timing aside,
+    # equals the report a freshly built parser gives for the same argv
+    sequence = [
+        ["orbit", "--map", "x^2+x+1", "--x0", "5", "--steps", "3"],
+        ["check", "cs", "--map", "sigma(x)"],
+        ["check", "no-such-check", "--map", "x"],
+        ["automaton", "run", "--file", str(shift1_path), "--word", "1101"],
+        ["analyze", "--map", "x+1", "--kmax", "2", "--strict-m1"],
+        ["analyze", "--map", "x+1", "--kmax", "2"],
+    ]
+
+    def results():
+        got = []
+        for argv in sequence:
+            code, report = run_command(argv)
+            if report is not None:
+                report.pop("timing")
+            got.append((code, report))
+        return got
+
+    cli._build_parser.cache_clear()
+    shared = results()
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = results()
+    assert shared == fresh
+    assert [code for code, _ in fresh] == [0, 0, 2, 0, 0, 0]
+    configs = [report["config"] for _, report in fresh if report is not None]
+    assert [set(c) - set(cli._ECHOED) for c in configs] == [
+        {"x0", "steps", "m"}, {"which"}, {"action", "word"}, set(), set(),
+    ]
+    assert [(c["budget"], c["strict_m1"]) for c in configs[-2:]] == [(None, True), (None, False)]
+
+
+def test_a_map_starting_with_minus_is_written_with_equals(capsys):
+    code, report = run_command(["analyze", "--map=-x", "--kmax", "2"])
+    assert code == 0
+    assert report["config"]["map"] == "-x"
+    # argparse reads a separate "-x" as an option, not as the value of --map
+    assert run_command(["analyze", "--map", "-x", "--kmax", "2"]) == (2, None)
+    assert "--map: expected one argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,16 @@
 import tracemalloc
 from fractions import Fraction
 from math import gcd
+from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import CORPUS
 from test_kernel import EXPRESSIONS
 
 from padyn.dynamics import (
+    BoxCount,
     PlotSet,
     ReducedLevelMap,
     accumulate_plot,
@@ -466,3 +468,30 @@ def test_box_count_memory_is_the_grid_not_the_points(k):
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak
+
+
+# --- the PGM renderer against the per-cell formatter it replaced ----------------
+
+
+def reference_pgm(bc):
+    g = bc.grid
+    lines = ["P2", f"{g} {g}", "1"]
+    for j in reversed(range(g)):
+        lines.append(" ".join(map(str, bc.cells[j * g : (j + 1) * g])))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@example(grid=1, seed=0, density=0.0)
+@example(grid=1, seed=0, density=1.0)
+@example(grid=64, seed=0, density=1.0)
+@given(
+    grid=st.integers(1, 64),
+    seed=st.integers(0, 2**32),
+    density=st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]),
+)
+def test_pgm_matches_the_per_cell_formatter(grid, seed, density):
+    rnd = Random(seed)
+    cells = bytes(rnd.random() < density for _ in range(grid * grid))
+    bc = BoxCount(grid, cells, cells.count(1))
+    assert to_pgm(bc) == reference_pgm(bc)

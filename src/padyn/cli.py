@@ -125,14 +125,11 @@ def _get_expr(args):
 
 
 def _coefficient_rows(coeffs: mahler.MahlerCoeffs) -> list[dict]:
+    # equal valuations are one shared object, so each text is made once, keyed by identity
+    text = {id(v): str(v) for v in {id(v): v for v in coeffs.valuations}.values()}
     return [
-        {
-            "m": m,
-            "residue": coeffs.residues[m],
-            "signed": coeffs.signed(m),
-            "valuation": str(coeffs.valuations[m]),
-        }
-        for m in range(coeffs.max_index + 1)
+        {"m": m, "residue": r, "signed": coeffs.signed(m), "valuation": text[id(v)]}
+        for m, (r, v) in enumerate(zip(coeffs.residues, coeffs.valuations))
     ]
 
 

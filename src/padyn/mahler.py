@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import accumulate
 
 from .mapdsl import MapExpr, binomial_degree, tabulate
-from .padic import Valuation, binomial_eval, residue_valuation
+from .padic import Valuation, _count_factors, binomial_eval
 
 __all__ = [
     "CoefficientRangeError",
@@ -60,19 +60,26 @@ class MahlerCoeffs:
         return len(self.residues) - 1
 
     @cached_property
+    def modulus(self) -> int:
+        return self.p ** self.precision
+
+    @cached_property
     def valuations(self) -> tuple[Valuation, ...]:
-        """The valuation of every coefficient, computed once; equal ones share one object."""
-        p, k, shared = self.p, self.precision, {}
-        return tuple(shared.setdefault(v := residue_valuation(r, p, k), v) for r in self.residues)
+        """The valuation of every coefficient, computed once; equal ones share one object.
+        Residues are reduced mod p**K, so only 0 vanishes at working precision."""
+        p = self.p
+        counts = [_count_factors(r, p) if r else None for r in self.residues]
+        shared = {v: Valuation.exactly(v) for v in set(counts) - {None}}
+        shared[None] = Valuation.at_least(self.precision)
+        return tuple(map(shared.__getitem__, counts))
 
     def valuation(self, m: int) -> Valuation:
         return self.valuations[m]
 
     def signed(self, m: int) -> int:
         """Balanced representative in (-p**K/2, p**K/2], nicer to read."""
-        modulus = self.p ** self.precision
         r = self.residues[m]
-        return r if 2 * r <= modulus else r - modulus
+        return r if 2 * r <= self.modulus else r - self.modulus
 
     @property
     def total(self) -> bool:
@@ -87,6 +94,8 @@ class Verdict:
     kind is one of "satisfied_up_to", "violated_at", "undecidable_at".
     Violations carry the index, the condition text and the observation;
     ``definitive`` marks cases where the condition is known necessary.
+    An undecidable verdict with an observation names the range or precision
+    shortfall; without one, a coefficient's valuation exceeds working precision.
     """
 
     kind: str
@@ -115,8 +124,10 @@ class Verdict:
         return cls("violated_at", bound, m, condition, observed, definitive, note=note)
 
     @classmethod
-    def undecidable(cls, bound: int, m: int, condition: str, note: str = "") -> Verdict:
-        return cls("undecidable_at", bound, m, condition, note=note)
+    def undecidable(
+        cls, bound: int, m: int, condition: str, observed: str = "", note: str = ""
+    ) -> Verdict:
+        return cls("undecidable_at", bound, m, condition, observed, note=note)
 
     @property
     def satisfied_up_to(self) -> bool:
@@ -132,10 +143,12 @@ class Verdict:
             if self.definitive:
                 text += " [definitive: condition is necessary for p=2]"
         else:
-            text = (
-                f"UndecidableAt({self.m}): {self.condition}"
-                " requires valuation beyond working precision"
+            reason = (
+                f"; {self.observed}"
+                if self.observed
+                else " requires valuation beyond working precision"
             )
+            text = f"UndecidableAt({self.m}): {self.condition}{reason}"
         if self.note:
             text += f" [{self.note}]"
         return text
@@ -163,22 +176,31 @@ def mahler_coeffs(
 
 
 def _differences(row, q: int) -> list[int]:
-    """Delta^m row(0) mod q for m < len(row), for residues 0 <= row(i) < q.  The first
-    h = n // 2 are those of row[:h], the rest those of g(j) = Delta^h row(j) = sum_t (-1)^t
-    C(h, t) row(j + h - t): one product of packed integers, each slot wide enough for
-    (h + 1)(q - 1)^2, so no carry crosses into the next."""
-    n = len(row)
-    if n == 1:
-        return [row[0]]
-    if n <= _SPLIT_CUTOFF:
-        return [row[0]] + _differences([(b - a) % q for a, b in zip(row, row[1:])], q)
-    h = n // 2
-    binoms = accumulate(range(h), lambda c, t: c * (h - t) // (t + 1), initial=1)
-    kernel = [(-c if t % 2 else c) % q for t, c in enumerate(binoms)]
-    width = -(-((h + 1) * (q - 1) ** 2).bit_length() // 8)
-    data = (_pack(kernel, width) * _pack(row, width)).to_bytes((n + h + 1) * width, "little")
-    g = [int.from_bytes(data[s * width : (s + 1) * width], "little") % q for s in range(h, n)]
-    return _differences(row[:h], q) + _differences(g, q)
+    """Delta^m row(0) mod q for m < len(row), for residues 0 <= row(i) < q.  The first h
+    are those of row[:h], the rest those of g(j) = Delta^h row(j) = sum_t (-1)^t C(h, t)
+    row(j + h - t): one product of packed integers, each slot wide enough for (h + 1)(q - 1)^2,
+    so no carry crosses into the next.  It keeps n - h of its n + h slots, so h is the largest
+    power of two <= n / 3 (measured); each kernel is packed once per call, as q is fixed."""
+    kernels = {}
+
+    def split(row):
+        n = len(row)
+        if n == 1:
+            return [row[0]]
+        if n <= _SPLIT_CUTOFF:
+            return [row[0]] + split([(b - a) % q for a, b in zip(row, row[1:])])
+        h = 1 << ((n // 3).bit_length() - 1)
+        if h not in kernels:
+            binoms = accumulate(range(h), lambda c, t: c * (h - t) // (t + 1), initial=1)
+            width = -(-((h + 1) * (q - 1) ** 2).bit_length() // 8)
+            kernel = [(-c if t % 2 else c) % q for t, c in enumerate(binoms)]
+            kernels[h] = width, _pack(kernel, width)
+        width, kernel = kernels[h]
+        data = (kernel * _pack(row, width)).to_bytes((n + h + 1) * width, "little")
+        g = [int.from_bytes(data[s * width : (s + 1) * width], "little") % q for s in range(h, n)]
+        return split(row[:h]) + split(g)
+
+    return split(row)
 
 
 def _pack(values, width: int) -> int:
@@ -194,7 +216,7 @@ def eval_mahler(c: MahlerCoeffs, i: int) -> int:
     if not 0 <= i <= c.max_index:
         raise ValueError(f"point {i} outside tabulated range 0..{c.max_index}")
     total = sum(c.residues[m] * binomial_eval(i, m) for m in range(i + 1))
-    return total % c.p ** c.precision
+    return total % c.modulus
 
 
 class _Scan:
@@ -256,7 +278,8 @@ def check_bernoulli_properties(c: MahlerCoeffs, n: int) -> Verdict:
         )
     if M < block:
         if scan.violation is None:
-            return Verdict.undecidable(M, block, f"a_{{p^{n}}} = 1 needs M >= {block}")
+            shortfall = f"coefficients computed only up to M = {M}"
+            return Verdict.undecidable(M, block, f"a_{{p^{n}}} = 1 needs M >= {block}", shortfall)
         return scan.verdict()
     scan.require(
         c.residues[block] == 1, block, f"a_{{p^{n}}} = 1", f"a_{block} = {c.signed(block)}"
@@ -308,7 +331,8 @@ def check_lipschitz_ergodic(c: MahlerCoeffs, strict_m1: bool = False) -> Verdict
     if p == 2:
         if c.precision < 2:
             if scan.violation is None:
-                return Verdict.undecidable(M, 1, "a_1 = 1 (mod 4) needs K >= 2", note=note)
+                shortfall = f"working precision is K = {c.precision}"
+                return Verdict.undecidable(M, 1, "a_1 = 1 (mod 4) needs K >= 2", shortfall, note)
         else:
             scan.require(
                 c.residues[1] % 4 == 1,

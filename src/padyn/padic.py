@@ -71,11 +71,16 @@ def residue_valuation(residue: int, p: int, precision: int) -> Valuation:
     """Valuation of a residue known mod p**precision."""
     if residue % p ** precision == 0:
         return Valuation.at_least(precision)
+    return Valuation.exactly(_count_factors(residue, p))
+
+
+def _count_factors(n: int, p: int) -> int:
+    """The number of factors of p in a nonzero integer n."""
     v = 0
-    while residue % p == 0:
-        residue //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    return Valuation.exactly(v)
+    return v
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -341,6 +345,49 @@ def test_verdict_text_line_is_verdict_str(argv, kind, capsys):
     ((name, data),) = report["verdicts"].items()
     assert data["kind"] == kind
     assert f"  {name}: {Verdict(**data)}" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ["check", "bernoulli", "--map", "sigma(x)", "--mmax", "1"],
+            "  bernoulli: UndecidableAt(2): a_{p^1} = 1 needs M >= 2;"
+            " coefficients computed only up to M = 1",
+        ),
+        (
+            ["check", "lipschitz-ergodic", "--map", "x+1", "--K", "1"],
+            "  lipschitz_ergodic: UndecidableAt(1): a_1 = 1 (mod 4) needs K >= 2;"
+            " working precision is K = 1 [necessary and sufficient for p=2]",
+        ),
+        (
+            ["check", "lipschitz-mp", "--map", "x", "--K", "1"],
+            "  lipschitz_mp: UndecidableAt(2): a_2 = 0 (mod p^2)"
+            " requires valuation beyond working precision [sufficient condition only]",
+        ),
+    ],
+)
+def test_undecidable_verdict_names_its_reason(argv, line, capsys):
+    # a range or precision shortfall says so; a valuation past K keeps its old text
+    assert run_command(argv)[0] == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["mahler", "--map", "x", "--mmax", "2"]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "padyn", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert run_command(argv)[0] == 0
+
+    def untimed(text):
+        return [line for line in text.splitlines() if not line.startswith("elapsed:")]
+
+    assert untimed(done.stdout) == untimed(capsys.readouterr().out)
 
 
 def test_render_report_rejects_unknown_format():

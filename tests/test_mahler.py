@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from test_kernel import EXPRESSIONS
 
-from padyn import mahler
+from padyn import cli, mahler
 from padyn.mahler import (
     MahlerCoeffs,
     check_bernoulli_properties,
@@ -19,7 +19,7 @@ from padyn.mahler import (
     mahler_coeffs,
 )
 from padyn.mapdsl import eval_map, lookahead_bound, parse_map, tabulate
-from padyn.padic import PadicApprox
+from padyn.padic import PadicApprox, residue_valuation
 
 
 def coeffs_of(text, p, M=12, K=16):
@@ -70,8 +70,11 @@ def reference_differences(row, modulus):
     return coeffs
 
 
-# lengths on both sides of the base-case cutoff, odd and even, up to 601
-LENGTHS = [1, 2, 3, 7, 31, 32, 33, 34, 63, 64, 65, 66, 100, 129, 257, 600, 601]
+# lengths on both sides of the base-case cutoff, odd and even, up to 601; 47-49,
+# 95-96 and 191-193 put the split's second part (n - h = 32, 33) and its kernel
+# (h = 16, 32, 64) on either side of the cutoff
+LENGTHS = [1, 2, 3, 7, 31, 32, 33, 34, 47, 48, 49, 63, 64, 65, 66, 95, 96, 100, 129]
+LENGTHS += [191, 192, 193, 257, 600, 601]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -100,6 +103,57 @@ def test_transform_matches_reference_at_scan_size():
     c = mahler_coeffs(e, 2, 4096, 64)
     row = tabulate(e, 2, 4097, 64)
     assert list(c.residues) == reference_differences(list(row), 2**64)
+
+
+def test_transform_matches_reference_at_scan_size_base_three():
+    e = parse_map("sigma^2(x^3+x+1)")
+    c = mahler_coeffs(e, 3, 2048, 48)
+    row = tabulate(e, 3, 2049, 48)
+    assert list(c.residues) == reference_differences(list(row), 3**48)
+
+
+def test_transform_kernels_live_for_one_call():
+    # equal lengths under two moduli in one process: a kernel kept past its call,
+    # or looked up by h alone, would carry one modulus's binomials into the other
+    rng = random.Random(2)
+    for n in (100, 257, 601):
+        for q in (2**64, 3**40, 5**3, 2**64):
+            row = [rng.randrange(q) for _ in range(n)]
+            assert mahler._differences(list(row), q) == reference_differences(row, q), (n, q)
+
+
+@st.composite
+def _residue_rows(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    K = draw(st.integers(1, 70))
+    q = p**K
+    residue = st.one_of(
+        st.just(0),
+        st.just(q - 1),
+        st.integers(0, K - 1).map(lambda j: p**j),
+        st.integers(0, q - 1),
+    )
+    return p, K, draw(st.lists(residue, min_size=1, max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_residue_rows())
+def test_valuations_and_rows_match_the_per_residue_reference(case):
+    p, K, residues = case
+    q = p**K
+    c = MahlerCoeffs(p, K, tuple(residues))
+    assert c.valuations == tuple(residue_valuation(r, p, K) for r in residues)
+    # equal valuations are one object, so the report rows make each text once
+    assert len(set(map(id, c.valuations))) == len(set(c.valuations))
+    assert cli._coefficient_rows(c) == [
+        {
+            "m": m,
+            "residue": r,
+            "signed": r if 2 * r <= q else r - q,
+            "valuation": str(residue_valuation(r, p, K)),
+        }
+        for m, r in enumerate(residues)
+    ]
 
 
 @st.composite

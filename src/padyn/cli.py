@@ -27,7 +27,7 @@ from .errors import (
     PrecisionError,
     UnboundedLookaheadError,
 )
-from .mapdsl import AutoApply, Var, parse_map
+from .mapdsl import DEFAULT_BUDGET, AutoApply, Var, parse_map
 from .padic import is_prime
 
 __all__ = ["main", "run_command", "render_report"]
@@ -182,6 +182,8 @@ def _plotset_section(top: dynamics.ReducedLevelMap, args) -> dict:
     ps = dynamics.plot_levels(top, args.n, range(1, args.kmax + 1))
     if args.grid < 1:  # before --csv is opened
         raise ValueError("grid size must be >= 1")
+    if args.grid**2 > DEFAULT_BUDGET:  # whatever --budget says: it sizes the table
+        raise BudgetError(f"--grid {args.grid} needs {args.grid**2} cells; the cap is {DEFAULT_BUDGET}")
     with open(args.csv, "w") if args.csv else nullcontext() as csv:
         bc = dynamics.box_count(ps, args.grid, csv)
     if args.pgm:
@@ -205,8 +207,8 @@ def _plotset_section(top: dynamics.ReducedLevelMap, args) -> dict:
 def _dispatch(args, budget) -> dict:
     if not is_prime(args.p):
         raise ValueError(f"p must be prime, got {args.p}")
-    if args.K < 1 or args.mmax < 1 or args.kmax < 1:
-        raise ValueError("K, mmax and kmax must all be >= 1")
+    if min(args.K, args.mmax, args.kmax, args.n) < 1:
+        raise ValueError("K, mmax, kmax and n must all be >= 1")
     report = {
         "config": _config_echo(args, budget),
         "coefficients": [],

@@ -20,7 +20,8 @@ from io import StringIO
 from math import gcd
 from typing import TextIO
 
-from .mapdsl import MapExpr, _check_budget, compile_map, lookahead_bound, tabulate
+from .errors import BudgetError
+from .mapdsl import DEFAULT_BUDGET, MapExpr, _check_budget, compile_map, lookahead_bound, tabulate
 
 __all__ = [
     "BoxCount",
@@ -288,9 +289,12 @@ class PlotSet:
 
     @property
     def numerators(self) -> frozenset[tuple[int, int]]:
-        """Every level merged over ``denominators``; at fixed denominators
-        the integer pairs sort as the rationals do."""
-        return frozenset((x, y) for x, ys in _columns(self) for y in ys)
+        """Every level scaled by p**(kmax-k) onto ``denominators`` and unioned;
+        at fixed denominators the integer pairs sort as the rationals do."""
+        p, top = self.m.p, self.denominators[1]
+        return frozenset(
+            (x * (top // p**k), y * (top // p**k)) for k, pts in self.level_numerators.items() for x, y in pts
+        )
 
     @property
     def levels(self) -> dict[int, frozenset[tuple[Fraction, Fraction]]]:
@@ -304,28 +308,6 @@ class PlotSet:
 
 def _fractions(pts, x_den: int, y_den: int) -> frozenset[tuple[Fraction, Fraction]]:
     return frozenset((Fraction(x, x_den), Fraction(y, y_den)) for x, y in pts)
-
-
-def _columns(ps: PlotSet):
-    """Yield (x, sorted distinct y numerators above x) for every x over
-    ``ps.denominators``: level k has a point above x iff p**(kmax-k) | x,
-    with y numerator (t[x / p**(kmax-k)] mod p**k) * p**(kmax-k)."""
-    if not ps.k_values:
-        return
-    p, t, k_max = ps.m.p, ps.m.table, ps.k_values[-1]
-    top = p ** k_max
-    # (scale, modulus) per level, finest first: the levels above x are a prefix
-    scales = [(p ** (k_max - k), p ** k) for k in reversed(ps.k_values)]
-    for x in range(p ** (ps.n + k_max)):
-        if x % p:  # only level kmax, whose scale is 1: no set to build
-            yield x, (t[x] % top,)
-            continue
-        ys = set()
-        for scale, modulus in scales:
-            if x % scale:
-                break
-            ys.add(t[x // scale] % modulus * scale)
-        yield x, sorted(ys)
 
 
 def plot_levels(m: ReducedLevelMap, n: int, k_values) -> PlotSet:
@@ -364,30 +346,61 @@ class BoxCount:
         return Fraction(self.covered, self.grid * self.grid)
 
 
+_CSV_BATCH = 4096  # CSV lines joined per write, so the stream path holds O(1) lines
+
+
 def box_count(ps: PlotSet, grid: int, csv: TextIO | None = None) -> BoxCount:
     """Grid cells holding at least one plot point, in one walk of the table.
 
     Cell assignment is exact: a point lands in cell floor(coord * grid),
-    computed on its integer numerator over the common denominator.  Given
-    a text stream ``csv``, the same walk writes the ``to_csv`` dump to it.
+    computed on its integer numerator over the common denominator.  Given a
+    text stream ``csv``, the same walk writes the ``to_csv`` dump to it.
     """
     if grid < 1:
         raise ValueError("grid size must be >= 1")
+    if grid * grid > DEFAULT_BUDGET:
+        raise BudgetError(f"grid size {grid} exceeds the cap of {DEFAULT_BUDGET} cells")
+    p, t = ps.m.p, ps.m.table
     x_den, y_den = ps.denominators
     cells = bytearray(grid * grid)
-    points = 0
-    if csv is not None:
-        csv.write("xnum,xden,ynum,yden\n")
-    for x, ys in _columns(ps):
-        points += len(ys)
+    points, lines = 0, (["xnum,xden,ynum,yden\n"] if csv is not None else [])
+    # the levels below kmax as (scale, modulus), finest first: those above x are a prefix
+    scales = [(y_den // p**k, p**k) for k in reversed(ps.k_values[:-1])]
+    xtail, ytail = f",{x_den},", f",{y_den}\n"
+    for x in range(x_den if ps.k_values else 0):
+        y = t[x] % y_den
         i = x * grid // x_den
-        for y in ys:
+        if x % p:  # only level kmax: x is in lowest terms, and so is y unless p | y
+            points += 1
             cells[y * grid // y_den * grid + i] = 1
-        if csv is not None:
-            gx = gcd(x, x_den)
+            if csv is None:
+                continue
+            if y % p:
+                lines.append(f"{x}{xtail}{y}{ytail}")
+            else:
+                g = gcd(y, y_den)
+                lines.append(f"{x}{xtail}{y // g},{y_den // g}\n")
+        else:
+            ys = {y}
+            for scale, modulus in scales:
+                if x % scale:
+                    break
+                ys.add(t[x // scale] % modulus * scale)
+            ys = sorted(ys)
+            points += len(ys)
             for y in ys:
-                gy = gcd(y, y_den)
-                csv.write(f"{x // gx},{x_den // gx},{y // gy},{y_den // gy}\n")
+                cells[y * grid // y_den * grid + i] = 1
+            if csv is not None:
+                g = gcd(x, x_den)
+                head = f"{x // g},{x_den // g},"
+                for y in ys:
+                    g = gcd(y, y_den)
+                    lines.append(f"{head}{y // g},{y_den // g}\n")
+        if len(lines) >= _CSV_BATCH:
+            csv.write("".join(lines))
+            lines.clear()
+    if lines:
+        csv.write("".join(lines))
     return BoxCount(grid, bytes(cells), points)
 
 

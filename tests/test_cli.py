@@ -53,6 +53,7 @@ def test_unknown_subcommand_exits_two(capsys):
 def test_oracles_reject_nonpositive_level_width(subcommand, n, capsys):
     code, _ = run_command([subcommand, "--map", "x+1", "--kmax", "3", "--n", n])
     assert code == 2
+    assert "K, mmax, kmax and n must all be >= 1" in capsys.readouterr().err
 
 
 def test_budget_exhaustion_exits_three(capsys):
@@ -463,6 +464,20 @@ def test_bad_grid_leaves_the_csv_file_alone(subcommand, tmp_path, capsys):
     assert not csv.exists()
     csv.write_text("kept\n")
     assert run_command(argv)[0] == 2
+    assert csv.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("subcommand", ["plotset", "analyze"])
+def test_grid_over_the_cap_leaves_the_csv_file_alone(subcommand, tmp_path, capsys):
+    # grid**2 is capped at DEFAULT_BUDGET (grid <= 2048) whatever --budget says
+    csv = tmp_path / "points.csv"
+    argv = [subcommand, "--map", "x", "--kmax", "3", "--grid", "2049", "--csv", str(csv)]
+    for extra in ([], ["--budget", str(2**23)]):
+        assert run_command(argv + extra) == (3, None)
+        assert "--grid 2049" in capsys.readouterr().err
+        assert not csv.exists()
+    csv.write_text("kept\n")
+    assert run_command(argv)[0] == 3
     assert csv.read_text() == "kept\n"
 
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import CORPUS
 from test_kernel import EXPRESSIONS
 
+from padyn import dynamics
 from padyn.dynamics import (
     BoxCount,
     PlotSet,
@@ -441,6 +442,22 @@ def test_plot_set_constructor_sorts_and_checks_its_levels():
             PlotSet(m, n, k_values)
 
 
+@pytest.mark.parametrize("text, p, k_max", [("x^2+x+1", 2, 12), ("x^2+x+1", 3, 7)])
+def test_plot_walk_matches_level_set_merge_across_csv_batches(text, p, k_max):
+    # the CSV is written in batches of _CSV_BATCH lines: this dump spans three or more,
+    # and p=3 has y numerators divisible by p above x prime to p
+    m = reduced_map(parse_map(text), p, 1 + k_max, k_max)
+    assert to_csv(plot_levels(m, 1, range(1, k_max + 1))).count("\n") > 2 * dynamics._CSV_BATCH
+    assert_walk_matches_reference(m, 1, tuple(range(1, k_max + 1)), 64)
+
+
+def test_box_count_caps_the_grid():
+    ps = accumulate_plot(parse_map("x"), 2, 1, 1)
+    assert box_count(ps, 2048).covered == 4
+    with pytest.raises(BudgetError):
+        box_count(ps, 2049)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_plot_walk_matches_level_set_merge_on_random_maps(data):
@@ -464,6 +481,24 @@ def test_box_count_memory_is_the_grid_not_the_points(k):
     tracemalloc.start()
     try:
         box_count(ps, 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("k", [12, 14])
+def test_box_count_csv_memory_is_the_grid_not_the_points(k):
+    # the CSV path holds one batch of lines, not the walk's
+    ps = accumulate_plot(parse_map("x^2+x+1"), 2, 1, k)
+    tracemalloc.start()
+    try:
+        box_count(ps, 256, _Discard())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -164,15 +164,20 @@ def mahler_coeffs(
 
     The map is evaluated at the integer points 0..max_index with enough
     input digits that each value is certified mod p**precision; those
-    max_index + 1 points are charged to the budget.
+    max_index + 1 points are charged to the budget.  A polynomial of
+    binomial degree d < max_index has a_m = 0 exactly for m > d, the
+    certificate behind its total verdicts, so only its first d + 1 points
+    are transformed and the rest of the row is zeros.
     """
     if max_index < 0:
         raise ValueError("max_index must be >= 0")
     if precision < 1:
         raise ValueError("precision must be >= 1")
     row = tabulate(e, p, max_index + 1, precision, budget)
-    coeffs = _differences(row, p ** precision)
-    return MahlerCoeffs(p, precision, tuple(coeffs), binomial_degree(e))
+    degree = binomial_degree(e)
+    last = max_index if degree is None else min(degree, max_index)
+    coeffs = _differences(row[: last + 1], p ** precision) + [0] * (max_index - last)
+    return MahlerCoeffs(p, precision, tuple(coeffs), degree)
 
 
 def _differences(row, q: int) -> list[int]:
@@ -180,11 +185,16 @@ def _differences(row, q: int) -> list[int]:
     are those of row[:h], the rest those of g(j) = Delta^h row(j) = sum_t (-1)^t C(h, t)
     row(j + h - t): one product of packed integers, each slot wide enough for (h + 1)(q - 1)^2,
     so no carry crosses into the next.  It keeps n - h of its n + h slots, so h is the largest
-    power of two <= n / 3 (measured); each kernel is packed once per call, as q is fixed."""
+    power of two <= n / 3 (measured); each kernel is packed once per call, as q is fixed.
+    A part that is zero mod q has zero differences, so it returns zeros without a product:
+    the zero tail of a continuous map's coefficients costs O(n), but the top product that
+    finds the tail zero is paid in full."""
     kernels = {}
 
     def split(row):
         n = len(row)
+        if not any(row):
+            return [0] * n
         if n == 1:
             return [row[0]]
         if n <= _SPLIT_CUTOFF:
@@ -228,16 +238,20 @@ class _Scan:
         self.undecided: Verdict | None = None
 
     def require_valuations(self, requirements, condition, definitive=False):
-        """Require p**req | a_m for each (m, req); ``condition(m, req)`` names a failed clause."""
+        """Require p**req | a_m for each (m, req); ``condition(m, req)`` names a failed clause.
+        The verdict reports only the first violation, so the scan stops there."""
+        if self.violation is not None:
+            return
         for m, required in requirements:
             v = self.c.valuations[m]
-            if self.violation is not None or required <= v.value:
+            if required <= v.value:
                 continue
             if v.exact:
                 self.violation = Verdict.violated(
                     self.c.max_index, m, condition(m, required), f"valuation {v}", definitive
                 )
-            elif self.undecided is None:
+                return
+            if self.undecided is None:
                 self.undecided = Verdict.undecidable(self.c.max_index, m, condition(m, required))
 
     def require(self, ok: bool, m: int, condition: str, observed: str, definitive=False):

@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from test_kernel import EXPRESSIONS
+from conftest import CORPUS
+from test_kernel import EXPRESSIONS, EXTRA
 
 from padyn import cli, mahler
 from padyn.mahler import (
@@ -95,6 +96,26 @@ def test_transform_matches_reference_on_worst_case_rows(p):
         for K in (1, 2, 33, 70):
             q = p**K
             for row in ([q - 1] * n, [(q - 1) * (i % 2) for i in range(n)]):
+                assert mahler._differences(list(row), q) == reference_differences(row, q), (n, K)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_transform_matches_reference_on_rows_whose_differences_vanish(p):
+    # a polynomial row of degree d has zero differences past d, so its h-th differences
+    # are all zero once h > d; a row that is zero except at its middle or last entry
+    # starts with a zero row[0] and row[:h] yet has nonzero differences
+    rng = random.Random(p)
+    for n in LENGTHS:
+        for K in (1, 33, 70):
+            q = p**K
+            rows = []
+            for d in range(6):
+                coeffs = [rng.randrange(q) for _ in range(d)] + [rng.randrange(1, q)]
+                coeffs[0] *= d % 2  # odd degrees vanish at 0
+                rows.append([sum(c * j**i for i, c in enumerate(coeffs)) % q for j in range(n)])
+            for k in {0, n // 2, n - 1}:
+                rows.append([rng.randrange(1, q) if j == k else 0 for j in range(n)])
+            for row in rows:
                 assert mahler._differences(list(row), q) == reference_differences(row, q), (n, K)
 
 
@@ -198,6 +219,46 @@ def test_degree_bound_marks_polynomials():
     assert coeffs_of("mahler[1,2,4](x)", 2).degree_bound == 2
     assert coeffs_of("sigma(x)", 2).degree_bound is None
     assert coeffs_of("x^2", 2, M=12).total
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_degree_cut_matches_reference_on_the_full_row(p):
+    # mahler_coeffs transforms a polynomial's first degree + 1 points only; the
+    # reference differences all 65, so a degree that under-reports shows here
+    K = 16
+    for text in CORPUS + EXTRA:
+        e = parse_map(text)
+        c = mahler_coeffs(e, p, 64, K)
+        assert (c.degree_bound is None) == ("sigma" in text), text
+        row = tabulate(e, p, 65, K)
+        assert list(c.residues) == reference_differences(list(row), p**K), text
+
+
+def test_zero_row_packs_nothing(monkeypatch):
+    widths = []
+    pack = mahler._pack
+    monkeypatch.setattr(
+        mahler, "_pack", lambda values, width: widths.append(width) or pack(values, width)
+    )
+    q = 2**64
+    assert mahler._differences([0] * 4097, q) == [0] * 4097
+    assert widths == []
+    # the indicator of the last point: Delta^m of it at 0 is 0 below m = 4096, then 1
+    last = [0] * 4096 + [1]
+    assert mahler._differences(last, q) == last
+    assert widths
+
+
+def test_polynomial_row_is_cut_at_its_degree(monkeypatch):
+    lengths = []
+    differences = mahler._differences
+    monkeypatch.setattr(
+        mahler, "_differences", lambda row, q: lengths.append(len(row)) or differences(row, q)
+    )
+    c = mahler_coeffs(parse_map("x^5+3*x+1"), 2, 4096, 64)
+    assert lengths == [6]
+    assert c.max_index == 4096 and c.total
+    assert c.residues[5] == 120 and not any(c.residues[6:])
 
 
 # --- reconstruction -----------------------------------------------------------
@@ -306,6 +367,23 @@ def test_lipschitz_ergodic_strict_mode_exposes_the_clause_conflict():
 def test_lipschitz_undecidable_at_low_precision():
     verdict = check_lipschitz_mp(coeffs_of("x+1", 2, M=6, K=1))
     assert verdict.kind == "undecidable_at" and verdict.m == 2
+
+
+def test_scan_stops_at_the_first_violation():
+    c = coeffs_of("x^2", 2, M=12)  # a_0 = 0 is past precision, a_1 = 1 is a unit
+    read = []
+
+    def requirements():
+        for m in range(13):
+            read.append(m)
+            yield m, 1
+
+    scan = mahler._Scan(c)
+    scan.require_valuations(requirements(), mahler._DIVIDES)
+    assert read == [0, 1]
+    assert scan.verdict().m == 1 and scan.undecided is None
+    scan.require_valuations(requirements(), mahler._DIVIDES)
+    assert read == [0, 1]
 
 
 # --- complex-shift conditions ------------------------------------------------------

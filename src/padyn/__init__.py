@@ -20,7 +20,6 @@ from .automata import (
     Automaton,
     RunTrace,
     check_nondegenerate,
-    make_shift_automaton,
     max_output_deficit,
     parse_automaton,
     run,
@@ -29,7 +28,6 @@ from .mapdsl import (
     DEFAULT_BUDGET,
     ComplexShiftDecomposition,
     MapExpr,
-    compile_map,
     decompose_complex_shift,
     eval_map,
     lookahead_bound,
@@ -66,7 +64,6 @@ from .dynamics import (
     plot_levels,
     preimage_census,
     reduced_map,
-    to_csv,
     to_pgm,
 )
 from .cli import render_report, run_command

@@ -32,7 +32,7 @@ __all__ = [
     "NondegeneracyVerdict",
     "accessible_states",
     "check_nondegenerate",
-    "make_shift_automaton",
+    "chunk_tables",
     "max_output_deficit",
     "parse_automaton",
     "run",
@@ -193,26 +193,6 @@ def parse_automaton(text: str) -> Automaton:
     return automaton
 
 
-def make_shift_automaton(n: int, p: int) -> Automaton:
-    """The machine that swallows the first n letters, then copies its input.
-
-    n = 0 gives the identity transducer; n = 1 induces the digit shift.
-    """
-    if n < 0:
-        raise ValueError("shift count must be >= 0")
-    states = tuple(f"q{i}" for i in range(n + 1))
-    transitions = {}
-    outputs = {}
-    for i in range(n):
-        for a in range(p):
-            transitions[(f"q{i}", a)] = f"q{i + 1}"
-            outputs[(f"q{i}", a)] = ()
-    for a in range(p):
-        transitions[(f"q{n}", a)] = f"q{n}"
-        outputs[(f"q{n}", a)] = (a,)
-    return Automaton(p, states, states[0], transitions, outputs)
-
-
 def run(a: Automaton, word) -> RunTrace:
     """Run the machine on a finite letter sequence from its initial state."""
     word = list(word)
@@ -227,6 +207,39 @@ def run(a: Automaton, word) -> RunTrace:
         state = a.transitions[(state, letter)]
         visited.append(state)
     return RunTrace(tuple(visited), tuple(emitted), len(word))
+
+
+_CHUNK_TABLE = 256  # chunk_tables reads c letters per step, p**c <= this many chunks per state
+
+
+def chunk_tables(a: Automaton) -> tuple[int, list[int], list[int], list[int]]:
+    """The machine read c letters per step: (c, next, value, scale).  Entry
+    s * p**c + u is for the state of index s (the initial one is 0) and the chunk
+    u, its c letters least significant first: the state reached, times p**c; the
+    output word as a number; and p**(its length)."""
+    p, c = a.p, 1
+    while p ** (c + 1) <= _CHUNK_TABLE:
+        c += 1
+    states = sorted(a.states, key=lambda s: s != a.initial)
+    index = {s: i for i, s in enumerate(states)}
+    letter = [  # per state and letter: the state reached, the output as a number, p**(its length)
+        [(index[a.transitions[s, d]], _value(a.outputs[s, d], p), p**len(a.outputs[s, d])) for d in range(p)]
+        for s in states
+    ]
+    rows = [[(i, 0, 1)] for i in range(len(states))]  # per state, the chunks of l letters
+    for _ in range(c):  # one more letter d, the most significant: chunk u + d p**l
+        rows = [
+            [(letter[t][d][0], v + letter[t][d][1] * w, w * letter[t][d][2])
+             for d in range(p) for t, v, w in row]
+            for row in rows
+        ]
+    entries = [entry for row in rows for entry in row]
+    return c, [t * p**c for t, _, _ in entries], [v for _, v, _ in entries], [w for _, _, w in entries]
+
+
+def _value(word: tuple[int, ...], p: int) -> int:
+    """A word of base-p digits as a number, the first letter least significant."""
+    return sum(d * p**j for j, d in enumerate(word))
 
 
 def check_nondegenerate(a: Automaton) -> NondegeneracyVerdict:

@@ -16,12 +16,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import KW_ONLY, InitVar, dataclass
 from fractions import Fraction
-from io import StringIO
 from math import gcd
 from typing import TextIO
 
 from .errors import BudgetError
-from .mapdsl import DEFAULT_BUDGET, MapExpr, _check_budget, compile_map, lookahead_bound, tabulate
+from .mapdsl import DEFAULT_BUDGET, MapExpr, _evaluator, tabulate
 
 __all__ = [
     "BoxCount",
@@ -39,7 +38,6 @@ __all__ = [
     "plot_levels",
     "preimage_census",
     "reduced_map",
-    "to_csv",
     "to_pgm",
 ]
 
@@ -241,15 +239,13 @@ def orbit(
         raise ValueError(f"start point {x0} outside Z/{p}^{m}")
     if steps < 0:
         raise ValueError(f"step count must be >= 0, got {steps}")
-    _check_budget(steps, budget)
-    f, _ = compile_map(e, p, m + lookahead_bound(e, p))
-    modulus = p ** m
+    column = _evaluator(e, p, m, p**m, steps, budget)
     points = [x0]
     first_seen = {x0: 0}
     cycle_start = cycle_length = None
     current = x0
     for _ in range(steps):
-        current = f(current) % modulus
+        current = column([current])[0]
         points.append(current)
         if cycle_start is None:
             if current in first_seen:
@@ -279,7 +275,7 @@ class PlotSet:
 
     @property
     def denominators(self) -> tuple[int, int]:
-        """(p**(n+kmax), p**kmax), the denominators of ``numerators``."""
+        """(p**(n+kmax), p**kmax), the common denominators of every level's points."""
         k_max = max(self.k_values, default=0)
         return self.m.p ** (self.n + k_max), self.m.p ** k_max
 
@@ -288,22 +284,9 @@ class PlotSet:
         return {k: frozenset(enumerate(self.m.restrict(self.n + k, k).table)) for k in self.k_values}
 
     @property
-    def numerators(self) -> frozenset[tuple[int, int]]:
-        """Every level scaled by p**(kmax-k) onto ``denominators`` and unioned;
-        at fixed denominators the integer pairs sort as the rationals do."""
-        p, top = self.m.p, self.denominators[1]
-        return frozenset(
-            (x * (top // p**k), y * (top // p**k)) for k, pts in self.level_numerators.items() for x, y in pts
-        )
-
-    @property
     def levels(self) -> dict[int, frozenset[tuple[Fraction, Fraction]]]:
         p, n = self.m.p, self.n
         return {k: _fractions(pts, p ** (n + k), p ** k) for k, pts in self.level_numerators.items()}
-
-    @property
-    def points(self) -> frozenset[tuple[Fraction, Fraction]]:
-        return _fractions(self.numerators, *self.denominators)
 
 
 def _fractions(pts, x_den: int, y_den: int) -> frozenset[tuple[Fraction, Fraction]]:
@@ -334,10 +317,6 @@ class BoxCount:
     points: int
 
     @property
-    def covered_cells(self) -> frozenset[tuple[int, int]]:
-        return frozenset(divmod(c, self.grid)[::-1] for c, v in enumerate(self.cells) if v)
-
-    @property
     def covered(self) -> int:
         return self.cells.count(1)
 
@@ -354,7 +333,8 @@ def box_count(ps: PlotSet, grid: int, csv: TextIO | None = None) -> BoxCount:
 
     Cell assignment is exact: a point lands in cell floor(coord * grid),
     computed on its integer numerator over the common denominator.  Given a
-    text stream ``csv``, the same walk writes the ``to_csv`` dump to it.
+    text stream ``csv``, the same walk writes the CSV point dump to it,
+    sorted by x then y, in lowest terms.
     """
     if grid < 1:
         raise ValueError("grid size must be >= 1")
@@ -402,13 +382,6 @@ def box_count(ps: PlotSet, grid: int, csv: TextIO | None = None) -> BoxCount:
     if lines:
         csv.write("".join(lines))
     return BoxCount(grid, bytes(cells), points)
-
-
-def to_csv(ps: PlotSet) -> str:
-    """Deterministic point dump of the plot set, in lowest terms, sorted by x then y."""
-    out = StringIO()
-    box_count(ps, 1, out)
-    return out.getvalue()
 
 
 _PGM_DIGITS = bytes.maketrans(b"\0\1", b"01")

@@ -9,11 +9,12 @@ polynomial, in which case the verdict is total.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from itertools import accumulate
 
-from .mapdsl import MapExpr, binomial_degree, tabulate
+from .mapdsl import _OPS_PER_ENTRY, MapExpr, _check_budget, binomial_degree, tabulate
 from .padic import Valuation, _count_factors, binomial_eval
 
 __all__ = [
@@ -167,7 +168,8 @@ def mahler_coeffs(
     max_index + 1 points are charged to the budget.  A polynomial of
     binomial degree d < max_index has a_m = 0 exactly for m > d, the
     certificate behind its total verdicts, so only its first d + 1 points
-    are transformed and the rest of the row is zeros.
+    are transformed and the rest of the row is zeros.  The transform is
+    charged to the budget too, for its top product, before it runs.
     """
     if max_index < 0:
         raise ValueError("max_index must be >= 0")
@@ -176,8 +178,18 @@ def mahler_coeffs(
     row = tabulate(e, p, max_index + 1, precision, budget)
     degree = binomial_degree(e)
     last = max_index if degree is None else min(degree, max_index)
+    why = f"the Mahler transform at K = {precision} digits"
+    _check_budget(last + 1, budget, _transform_cost(last + 1, p ** precision), why)
     coeffs = _differences(row[: last + 1], p ** precision) + [0] * (max_index - last)
     return MahlerCoeffs(p, precision, tuple(coeffs), degree)
+
+
+def _transform_cost(n: int, q: int) -> int:
+    """Entries of work per point of ``_differences`` on n residues mod q.  Its top product
+    multiplies about n slots of log2((n/3 + 1) (q - 1)^2) bits, and a product of b-bit
+    integers costs about (b / 128)^log2(3) operations on 128-bit values (Karatsuba)."""
+    bits = n * ((n // 3 + 1) * (q - 1) ** 2).bit_length()
+    return 1 + int((bits / 128) ** math.log2(3)) // (_OPS_PER_ENTRY * n)
 
 
 def _differences(row, q: int) -> list[int]:

@@ -15,25 +15,32 @@ Signed integers are accepted inside mahler coefficient lists and as unary
 minus on factors; exponents and binomial lower indices stay unsigned.
 
 Evaluation works on integers: the input is lifted to its unique
-zero-padded integer representative, the tree is computed over the integers
-(digit shifts are floor divisions, binomials are exact falling-factorial
-divisions, automata keep the output digits their input certifies), and the
-result is reduced to the precision the lookahead bound certifies.  Maps
-are compiled once (``compile_map``) into closures doing per-point work only.
+zero-padded integer representative, and the result is the exact integer
+value there, reduced to the precision the lookahead bound certifies.  One
+column evaluator computes it for a block of lifts at a time: a map is
+built once into one function per node, and each node reads its operand
+only mod the power of p its own certified digits need (digit shifts are
+floor divisions, binomials exact ones, automata keep the output digits
+their input certifies).  Its work per point is charged to the budget.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
+import operator
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
+from math import comb
 from pathlib import Path
 
 from . import automata
 from .errors import AutomatonFormatError, BudgetError, DegenerateAutomatonError
 from .errors import MapSyntaxError, PrecisionError
-from .padic import PadicApprox, binomial_eval, is_prime
+from .padic import PadicApprox, _count_factors, is_prime
 
 __all__ = [
     "DEFAULT_BUDGET",
+    "MAX_DIGITS",
     "MapExpr",
     "Const",
     "Var",
@@ -48,7 +55,6 @@ __all__ = [
     "AutoApply",
     "ComplexShiftDecomposition",
     "binomial_degree",
-    "compile_map",
     "decompose_complex_shift",
     "eval_map",
     "factorial_valuation",
@@ -139,6 +145,11 @@ class AutoApply:
                 f"automaton {path!r} is degenerate at state {verdict.witness}"
             )
         return cls(path, machine, automata.max_output_deficit(machine), operand)
+
+    @cached_property
+    def chunks(self) -> tuple[int, list[int], list[int], list[int]]:
+        """``automata.chunk_tables`` of the machine, built once per node."""
+        return automata.chunk_tables(self.automaton)
 
 
 MapExpr = (
@@ -458,107 +469,203 @@ def binomial_degree(e: MapExpr) -> int | None:
 
 # --- evaluation --------------------------------------------------------
 
+# A column is the values of a node at a block of zero-padded lifts.  A node
+# certifying d digits returns values congruent to the exact integer value mod
+# p**d, with a bound on their bit length.  Sigma, binomials, series and
+# automata reduce into [0, p**d) in the pass that computes them; a product or
+# power reduces only where its bound passes p**d by _SLACK_BITS; Var, Neg, Add
+# and Sub never do.
+Column = Callable[[Sequence[int]], Sequence[int]]
 
-def _compile(e: MapExpr, p: int, precision: int) -> Callable[[int], int]:
-    """Return fn: fn(lift) is the value of e at ``lift``, certified mod
-    p**(precision - L) for L = ``lookahead_bound(e, p)``; the caller has
-    checked that this is at least one digit."""
+_BLOCK = 4096  # lifts per column: the columns of one block live next to the table, so keep them short
+_SLACK_BITS = 64  # a product this much wider than its modulus costs less than reducing it
+_OPS_PER_ENTRY = 32  # operations per point on values of <= 128 bits that one budget entry stands for
+MAX_DIGITS = 1 << 20  # the widest values the evaluator takes on: output digits + lookahead bound
+
+
+def _units(bits: int) -> int:
+    """Operations on values of <= 128 bits that one operation on ``bits``-bit values
+    stands for, the other operand being small; two wide operands cost the product."""
+    return 1 + bits // 128
+
+
+def _reduced_exponent(exponent: int, p: int, digits: int) -> int:
+    """An exponent with the same power mod p**digits at every integer: a unit's
+    powers repeat with period phi(p**digits), and v**e = 0 mod p**digits once p | v
+    and e >= digits."""
+    phi = p ** (digits - 1) * (p - 1)
+    return exponent if exponent < digits + phi else digits + (exponent - digits) % phi
+
+
+def _build(e: MapExpr, p: int, digits: int, lift_bits: int, costs: list) -> tuple[Column, int]:
+    """The column function of e, certifying ``digits`` digits, and a bound on the
+    bit length of its values, for lifts of at most ``lift_bits`` bits.  Appends
+    (operations per point, node) to ``costs`` for every node that does work."""
+    q = p ** digits
     if isinstance(e, Const):
-        value = e.value
-        return lambda x: value
+        value = e.value % q
+        return (lambda xs: [value] * len(xs)), value.bit_length()
     if isinstance(e, Var):
-        return lambda x: x
+        return (lambda xs: xs), lift_bits
     if isinstance(e, Neg):
-        f = _compile(e.operand, p, precision)
-        return lambda x: -f(x)
+        f, bits = _build(e.operand, p, digits, lift_bits, costs)
+        costs.append((_units(bits), e))
+        return (lambda xs: list(map(operator.neg, f(xs)))), bits
     if isinstance(e, (Add, Sub, Mul)):
-        lf = _compile(e.left, p, precision)
-        rf = _compile(e.right, p, precision)
-        if isinstance(e, Add):
-            return lambda x: lf(x) + rf(x)
-        if isinstance(e, Sub):
-            return lambda x: lf(x) - rf(x)
-        return lambda x: lf(x) * rf(x)
+        lf, lbits = _build(e.left, p, digits, lift_bits, costs)
+        rf, rbits = _build(e.right, p, digits, lift_bits, costs)
+        if not isinstance(e, Mul):
+            costs.append((_units(max(lbits, rbits)), e))
+            op = operator.add if isinstance(e, Add) else operator.sub
+            return (lambda xs: list(map(op, lf(xs), rf(xs)))), max(lbits, rbits) + 1
+        costs.append((_units(lbits) * _units(rbits), e))
+        if lbits + rbits <= q.bit_length() + _SLACK_BITS:
+            return (lambda xs: list(map(operator.mul, lf(xs), rf(xs)))), lbits + rbits
+        return (lambda xs: [a * b % q for a, b in zip(lf(xs), rf(xs))]), q.bit_length()
     if isinstance(e, Pow):
-        f = _compile(e.base, p, precision)
-        exponent = e.exponent
-        return lambda x: f(x) ** exponent
+        exponent = _reduced_exponent(e.exponent, p, digits)
+        f, bits = _build(e.base, p, digits, lift_bits, costs)
+        costs.append((max(1, exponent.bit_length()) * _units(min(bits * exponent, q.bit_length())) ** 2, e))
+        if bits * exponent <= q.bit_length() + _SLACK_BITS:
+            return (lambda xs: list(map(pow, f(xs), repeat(exponent)))), max(1, bits * exponent)
+        return (lambda xs: list(map(pow, f(xs), repeat(exponent), repeat(q)))), q.bit_length()
     if isinstance(e, Sigma):
-        f = _compile(e.operand, p, precision)
-        divisor = p ** e.shifts
-        return lambda x: f(x) // divisor
+        wide, divisor = p ** (digits + e.shifts), p ** e.shifts
+        f, bits = _build(e.operand, p, digits + e.shifts, lift_bits, costs)
+        costs.append((_units(bits), e))
+        return (lambda xs: [v % wide // divisor for v in f(xs)]), q.bit_length()
     if isinstance(e, Binom):
-        f = _compile(e.operand, p, precision)
-        lower = e.lower
-        return lambda x: binomial_eval(f(x), lower)
+        return _series(e, {e.lower: 1}, p, digits, lift_bits, costs)
     if isinstance(e, MahlerLit):
-        f = _compile(e.operand, p, precision)
-        terms = tuple((m, a) for m, a in enumerate(e.coeffs) if a != 0)
-
-        def series(x: int) -> int:
-            v = f(x)
-            return sum(a * binomial_eval(v, m) for m, a in terms)
-
-        return series
+        return _series(e, {m: a for m, a in enumerate(e.coeffs) if a}, p, digits, lift_bits, costs)
     if isinstance(e, AutoApply):
-        machine = e.automaton
-        if machine.p != p:
-            raise ValueError(f"automaton expects p={machine.p}, map evaluated at p={p}")
-        f = _compile(e.operand, p, precision)
-        # k certified input digits; no run of k letters emits fewer than k - deficit
-        k = precision - lookahead_bound(e.operand, p)
-        certain = k - e.deficit
-        powers = [p ** i for i in range(k)]
-
-        def transduce(x: int) -> int:
-            rep = f(x)
-            word = [rep // q % p for q in powers]
-            value = 0
-            for digit in reversed(automata.run(machine, word).output[:certain]):
-                value = value * p + digit
-            return value
-
-        return transduce
+        return _transducer(e, p, digits, lift_bits, costs)
     raise TypeError(f"not a map expression: {e!r}")
 
 
-def compile_map(e: MapExpr, p: int, precision: int) -> tuple[Callable[[int], int], int]:
-    """Compile e for inputs known to ``precision`` digits: returns (f, k),
-    f(lift) the value at a zero-padded lift 0 <= lift < p**precision,
-    certified mod p**k, k = precision - L for L the lookahead bound.  This
-    is the one precision check; the bound, shift divisors and automaton
-    digit counts are worked out here, once per map."""
+def _series(
+    e: Binom | MahlerLit, coeffs: dict[int, int], p: int, digits: int, lift_bits: int, costs: list
+) -> tuple[Column, int]:
+    """The sum of a_m C(v, m), v the operand.  While v (v-1) ... (v-top+1) stays within
+    _SLACK_BITS of p**(digits + v_p(top!)), each C(v, m) is an exact ``math.comb``.
+    Past that, with e_m = v_p(m!), the falling factorial v (v-1) ... (v-m+1) = m! C(v, m)
+    is taken mod p**(digits + e_top) and divided by p**e_m exactly; the rest of m! is a
+    unit, inverted mod p**digits."""
+    top = max(coeffs, default=0)
+    drop = factorial_valuation(top, p)
+    q, wide = p ** digits, p ** (digits + drop)
+    scales = {}  # m -> (p**e_m, a_m times the inverse of the unit part of m!, mod q)
+    valuation, unit = 0, 1
+    for m in range(1, top + 1):
+        v = _count_factors(m, p)
+        valuation, unit = valuation + v, unit * (m // p**v) % q
+        if m in coeffs:
+            scales[m] = p**valuation, coeffs[m] * pow(unit, -1, q) % q
+    constant = coeffs.get(0, 0) % q
+    f, bits = _build(e.operand, p, digits + drop, lift_bits, costs)
+    exact = top * (bits + 1) <= wide.bit_length() + _SLACK_BITS
+    width = min(top * (bits + 1), wide.bit_length() + _SLACK_BITS)
+    costs.append(((top + len(scales)) * _units(width) * _units(bits), e))
+
+    def series(xs):
+        v = falling = f(xs)  # v (v-1) ... (v-t+1) at step t
+        total = [constant] * len(v)
+        for t in range(1, top + 1):
+            if exact and t in scales:  # C(v, t) = (-1)^t C(t - 1 - v, t) for v < 0
+                a, sign = coeffs[t] % q, (-1) ** t
+                total = [
+                    (s + a * (comb(u, t) if u >= 0 else sign * comb(t - 1 - u, t))) % q
+                    for s, u in zip(total, v)
+                ]
+            elif not exact:
+                if t > 1:
+                    falling = [a * (b - t + 1) % wide for a, b in zip(falling, v)]
+                if t in scales:
+                    divisor, scale = scales[t]
+                    total = [(s + a // divisor * scale) % q for s, a in zip(total, falling)]
+        return total
+
+    return series, q.bit_length()
+
+
+def _transducer(e: AutoApply, p: int, digits: int, lift_bits: int, costs: list) -> tuple[Column, int]:
+    """The machine's first ``digits`` output digits.  No run of k letters emits fewer
+    than k - deficit, so digits + deficit input letters fix them; they are read c at a
+    time through the chunk tables, and letters past those only append output."""
+    if e.automaton.p != p:
+        raise ValueError(f"automaton expects p={e.automaton.p}, map evaluated at p={p}")
+    c, nexts, values, scales = e.chunks
+    steps = -(-(digits + e.deficit) // c)
+    chunk, q = p**c, p**digits
+    f, bits = _build(e.operand, p, digits + e.deficit, lift_bits, costs)
+    costs.append((5 * steps * _units(max(bits, q.bit_length())), e))
+
+    def transduce(xs):
+        v = f(xs)  # its p-adic digits, also for a negative value: floor division
+        state, value, scale = [0] * len(v), [0] * len(v), [1] * len(v)
+        for _ in range(steps):
+            at = [s + u % chunk for s, u in zip(state, v)]
+            v = [u // chunk for u in v]
+            value = [a + values[i] * w for a, i, w in zip(value, at, scale)]
+            scale = [w * scales[i] for w, i in zip(scale, at)]
+            state = list(map(nexts.__getitem__, at))
+        return [a % q for a in value]
+
+    return transduce, q.bit_length()
+
+
+def _check_budget(entries: int, budget: int | None, cost: int = 1, why: str = "") -> None:
+    """Charge ``entries`` points of ``cost`` entries of work each to the budget."""
+    limit = DEFAULT_BUDGET if budget is None else budget
+    if entries * cost > limit:
+        work = f" at {cost} entries of work each ({why})" if cost > 1 else ""
+        raise BudgetError(f"enumeration of {entries} entries{work} exceeds budget {limit}")
+
+
+def _evaluator(
+    e: MapExpr, p: int, digits: int, lifts: int, entries: int, budget: int | None
+) -> Column:
+    """The one evaluator: the column function of e certifying ``digits`` digits at
+    lifts below ``lifts``, once ``entries`` points of it are charged to the budget.
+    A point costs one entry per _OPS_PER_ENTRY operations it does on values of
+    <= 128 bits, and at least one.  Values wider than MAX_DIGITS digits are refused."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    bound = lookahead_bound(e, p)
-    if precision <= bound:
-        raise PrecisionError(f"need more than {bound} input digits, have {precision}")
-    return _compile(e, p, precision), precision - bound
+    width = digits + lookahead_bound(e, p)
+    if width > MAX_DIGITS:
+        raise BudgetError(f"{to_text(e)} needs values of {width} digits; the limit is {MAX_DIGITS}")
+    costs = []
+    column, bits = _build(e, p, digits, (lifts - 1).bit_length(), costs)
+    if not isinstance(e, (Sigma, Binom, MahlerLit, AutoApply)):  # may leave [0, p**digits)
+        costs.append((_units(bits), e))
+        unreduced, q = column, p ** digits
+
+        def column(xs):
+            return [v % q for v in unreduced(xs)]
+
+    ops = sum(c for c, _ in costs)
+    cost, why = 1 + ops // _OPS_PER_ENTRY, ""
+    if cost > 1:
+        most, node = max(costs, key=lambda c: c[0])
+        why = f"{ops} operations per point, {most} of them in {to_text(node)}"
+    _check_budget(entries, budget, cost, why)
+    return column
 
 
 def eval_map(e: MapExpr, x: PadicApprox) -> PadicApprox:
-    """Evaluate at x; the result keeps x.precision - lookahead digits.
+    """Evaluate at x; the result keeps x.precision - L digits, L the lookahead bound
+    (``PrecisionError`` when that is none).
 
-    The value is computed exactly over the integers on the zero-padded
-    lift of x, then reduced; the reported digits never depend on the
-    choice of lift.  It is a one-point ``compile_map``.
+    The value is the exact integer value at the zero-padded lift of x, reduced; the
+    reported digits never depend on the choice of lift.  It is a one-point column of
+    the evaluator ``tabulate`` uses.
     """
-    f, k_out = compile_map(e, x.p, x.precision)
-    return PadicApprox(x.p, k_out, f(x.residue) % x.p ** k_out)
-
-
-def _check_budget(entries: int, budget: int | None) -> None:
-    limit = DEFAULT_BUDGET if budget is None else budget
-    if entries > limit:
-        raise BudgetError(f"enumeration of {entries} entries exceeds budget {limit}")
-
-
-def _digit_length(value: int, p: int) -> int:
-    """Number of base-p digits of value >= 0 (zero has one)."""
-    length = 1
-    while p ** length <= value:
-        length += 1
-    return length
+    bound = lookahead_bound(e, x.p)
+    if x.precision <= bound:
+        raise PrecisionError(f"need more than {bound} input digits, have {x.precision}")
+    digits = x.precision - bound
+    (value,) = _evaluator(e, x.p, digits, x.p ** x.precision, 1, None)([x.residue])
+    return PadicApprox(x.p, digits, value)
 
 
 def tabulate(
@@ -567,18 +674,15 @@ def tabulate(
     """Values f(i) mod p**digits for i in range(size), at zero-padded lifts.
 
     This is the one enumeration of a map over residues: every oracle
-    slices and reduces a table made here, and its ``size`` entries are
-    what the budget is charged for.  The map is compiled once for inputs
-    of L + max(digits, digit length of size - 1) digits, L the lookahead
-    bound, which certifies ``digits`` output digits at every point.
+    slices and reduces a table made here.  Its ``size`` entries are charged
+    to the budget at the map's work per point, and the map is evaluated a
+    block of ``_BLOCK`` lifts at a time.
     """
     if size < 1 or digits < 1:
         raise ValueError("need a table size >= 1 and an output digit count >= 1")
-    _check_budget(size, budget)
-    k_in = lookahead_bound(e, p) + max(digits, _digit_length(size - 1, p))
-    f, _ = compile_map(e, p, k_in)
-    modulus = p ** digits
-    return tuple(f(i) % modulus for i in range(size))
+    column = _evaluator(e, p, digits, size, size, budget)
+    blocks = (column(list(range(start, min(start + _BLOCK, size)))) for start in range(0, size, _BLOCK))
+    return tuple(chain.from_iterable(blocks))
 
 
 def step_order(table, p: int) -> int:

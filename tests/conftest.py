@@ -1,5 +1,7 @@
 import pytest
 
+from padyn.automata import Automaton
+
 # The expression corpus exercised across modules: plain polynomials,
 # digit shifts, compositions, and binomial-basis literals.
 CORPUS = [
@@ -44,6 +46,23 @@ z 1 -> o / 1
 o 0 -> z / 1
 o 1 -> o / 0
 """
+
+
+def make_shift_automaton(n: int, p: int) -> Automaton:
+    """The machine that swallows the first n letters, then copies its input.
+
+    n = 0 gives the identity transducer; n = 1 induces the digit shift.
+    """
+    states = tuple(f"q{i}" for i in range(n + 1))
+    transitions, outputs = {}, {}
+    for i in range(n):
+        for a in range(p):
+            transitions[(f"q{i}", a)] = f"q{i + 1}"
+            outputs[(f"q{i}", a)] = ()
+    for a in range(p):
+        transitions[(f"q{n}", a)] = f"q{n}"
+        outputs[(f"q{n}", a)] = (a,)
+    return Automaton(p, states, states[0], transitions, outputs)
 
 
 @pytest.fixture

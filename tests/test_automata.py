@@ -1,11 +1,10 @@
 import pytest
 
-from conftest import IDENTITY_FILE, SHIFT1_FILE, XOR_PREV_FILE
+from conftest import IDENTITY_FILE, SHIFT1_FILE, XOR_PREV_FILE, make_shift_automaton
 from test_kernel import guaranteed_output_length
 
 from padyn.automata import (
     check_nondegenerate,
-    make_shift_automaton,
     max_output_deficit,
     parse_automaton,
     run,

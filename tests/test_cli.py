@@ -8,7 +8,7 @@ import pytest
 
 from conftest import SHIFT1_FILE
 
-from padyn import cli, mapdsl
+from padyn import cli, dynamics, mapdsl
 from padyn.cli import render_report, run_command
 from padyn.mahler import Verdict
 
@@ -121,21 +121,21 @@ def test_analyze_budget_is_its_table_size(p, n, kmax, capsys):
     ],
 )
 def test_analyze_evaluates_each_point_once(monkeypatch, shift1_path, p, n, kmax, map_text):
-    # counts the points every compiled kernel is called on, whoever compiled it
+    # counts the entries every column the evaluator makes is asked for, whoever made it
     calls = 0
-    compile_map = mapdsl.compile_map
+    evaluator = mapdsl._evaluator
 
-    def counting_compile(e, p, precision):
-        f, k = compile_map(e, p, precision)
+    def counting_evaluator(*args):
+        column = evaluator(*args)
 
-        def counting(lift):
+        def counting(lifts):
             nonlocal calls
-            calls += 1
-            return f(lift)
+            calls += len(lifts)
+            return column(lifts)
 
-        return counting, k
+        return counting
 
-    monkeypatch.setattr(mapdsl, "compile_map", counting_compile)
+    monkeypatch.setattr(mapdsl, "_evaluator", counting_evaluator)
     mmax = 20
     code, _ = run_command(
         [
@@ -170,6 +170,43 @@ def test_orbit_steps_are_budgeted(capsys):
     assert run_command(argv + ["50"])[0] == 0
     assert run_command(argv + ["49"])[0] == 3
     assert "exceeds budget 49" in capsys.readouterr().err
+
+
+def test_huge_power_ends_with_the_answer():
+    # the exponent is reduced mod phi(2^m) at every level, so this takes milliseconds
+    code, report = run_command(["cycles", "--p", "2", "--kmax", "4", "--map", "x^99999999"])
+    assert code == 0
+    for row in report["cycles"]:
+        m = row["m"]
+        table = tuple(pow(x, 99999999, 2**m) for x in range(2**m))
+        expected = dynamics.cycle_report(dynamics.ReducedLevelMap(2, m, m, table))
+        assert row["cycle_lengths"] == list(expected.cycle_lengths)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # m factors of a binomial of full-width values
+        (["cycles", "--kmax", "4", "--map", "C(x-1,100000)"], "of them in C(x - 1, 100000)) exceeds budget"),
+        # the digit width
+        (["cycles", "--kmax", "4", "--map", "sigma^2000000(x)"], "values of 2000004 digits; the limit is"),
+        # the Mahler transform's product, which grows with K
+        (
+            ["mahler", "--K", "4000", "--mmax", "4096", "--map", "sigma(x)"],
+            "(the Mahler transform at K = 4000 digits)",
+        ),
+    ],
+)
+def test_work_past_the_budget_exits_three_naming_its_cause(argv, message, capsys):
+    assert run_command(argv) == (3, None)
+    assert message in capsys.readouterr().err
+
+
+def test_coefficient_scan_shapes_run_under_the_default_budget():
+    argv = ["mahler", "--p", "2", "--K", "64", "--mmax", "4096", "--map", "sigma(x^2+x+1)"]
+    assert run_command(argv)[0] == 0
+    argv = ["mahler", "--p", "3", "--K", "48", "--mmax", "2048", "--map", "sigma^2(x^3+x+1)"]
+    assert run_command(argv)[0] == 0
 
 
 def test_mahler_points_are_budgeted(capsys):

@@ -1,4 +1,4 @@
-"""The compiled evaluation kernel against the tree-walking reference.
+"""The column evaluation kernel against the tree-walking reference.
 
 ``reference_eval_map`` is the exact-integer evaluator the kernel replaced:
 it walks the tree at every point and makes every precision check there.
@@ -13,11 +13,12 @@ deficit, which is never more than this count.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CORPUS
+from conftest import CORPUS, make_shift_automaton
 
 from padyn import automata
-from padyn.errors import DegenerateAutomatonError, PrecisionError
+from padyn.errors import BudgetError, DegenerateAutomatonError, PrecisionError
 from padyn.mapdsl import (
+    _build,
     Add,
     AutoApply,
     Binom,
@@ -150,7 +151,7 @@ def _agree_on_all_points(e, p: int, precision: int) -> bool:
 
 
 def _shift_map(p: int, operand) -> AutoApply:
-    machine = automata.make_shift_automaton(1, p)
+    machine = make_shift_automaton(1, p)
     return AutoApply("<shift1>", machine, automata.max_output_deficit(machine), operand)
 
 
@@ -160,22 +161,60 @@ WIDEN = automata.parse_automaton("p 2\nstates s\ninitial s\ns 0 -> s / 00\ns 1 -
 
 
 # node kinds and signs the corpus leaves out: cubes, negation, subtraction,
-# negative series coefficients and a binomial of a polynomial
-EXTRA = ["x^3+2*x", "-x+5", "2-x^2", "sigma(3*x+1)+x^3", "mahler[0,1,-2,3](x)", "C(x^2+1,3)-x"]
+# negative series coefficients, a binomial of a polynomial and one of negative values
+EXTRA = ["x^3+2*x", "-x+5", "2-x^2", "sigma(3*x+1)+x^3", "mahler[0,1,-2,3](x)", "C(x^2+1,3)-x", "C(1-x,3)"]
+
+# work the kernel reduces or charges: a high power, a long falling factorial, a
+# series term at index 21, and a binomial of negative values
+HEAVY = ["x^2000+x", "C(x,40)+x", "mahler[1," + "0," * 20 + "3](x^2)", "C(x-3,25)"]
 
 
 @pytest.mark.parametrize("p, precisions", [(2, (1, 2, 3, 5, 8)), (3, (1, 2, 4, 5)), (5, (1, 2, 3))])
 def test_kernel_matches_reference_on_corpus(p, precisions, shift1_path):
-    exprs = [parse_map(text) for text in CORPUS + EXTRA]
+    exprs = [parse_map(text) for text in CORPUS + EXTRA + HEAVY]
     exprs.append(_shift_map(p, parse_map("x^2+1")))
     if p == 2:
         exprs.append(parse_map(f'auto("{shift1_path}")(sigma(x)) + x'))
-        shift = automata.make_shift_automaton(1, 2)
+        shift = make_shift_automaton(1, 2)
         exprs.append(AutoApply.checked("<widen>", WIDEN, parse_map("sigma(x)")))
         exprs.append(Sigma(2, AutoApply.checked("<widen>", WIDEN, parse_map("x^2+1"))))
         exprs.append(Add(AutoApply.checked("<shift1>", shift, Const(5)), Var()))
     too_small = [_agree_on_all_points(e, p, k) for e in exprs for k in precisions]
     assert any(too_small) and not all(too_small)
+    # an automaton reading more than one chunk, the last one cut short: the shift map
+    # reads all `precision` input digits, c at a time
+    shifted = _shift_map(p, parse_map("x^2+1"))
+    precision = {2: 11, 3: 7, 5: 4}[p]
+    chunk = shifted.chunks[0]
+    assert precision > chunk and precision % chunk
+    assert not _agree_on_all_points(shifted, p, precision)
+    # a heavy map needs more digits than an exhaustive table has: some lifts at
+    # precision L + 3, and a 64-entry table
+    for e in map(parse_map, HEAVY):
+        precision = lookahead_bound(e, p) + 3
+        for r in range(0, p**precision, p**precision // 40 + 1):
+            x = PadicApprox(p, precision, r)
+            assert _outcome(eval_map, e, x) == _outcome(reference_eval_map, e, x), (e, p, r)
+        precision = lookahead_bound(e, p) + 6  # >= 3 output digits, lifts < 64 <= p**6
+        expected = [reference_eval_map(e, PadicApprox(p, precision, i)).residue % p**3 for i in range(64)]
+        assert list(tabulate(e, p, 64, 3)) == expected, (e, p)
+
+
+def test_high_powers_are_charged_what_low_powers_are():
+    # the budget charges a point by the operations it does on values of <= 128 bits;
+    # x^20000 at 12 digits is one modular pow of 12-bit values, as x^2 is, so 2^12
+    # points of either cost 2^12 entries, and the work of a long binomial shows
+    for text in ("x^2+x", "x^20000+x", "x^99999999", "C(x,3)+x"):
+        assert len(tabulate(parse_map(text), 2, 2**12, 12, budget=2**12)) == 2**12
+        with pytest.raises(BudgetError, match=r"^enumeration of 4096 entries exceeds budget 4095$"):
+            tabulate(parse_map(text), 2, 2**12, 12, budget=2**12 - 1)
+    with pytest.raises(BudgetError, match=r"entries of work each .* in C\(x - 1, 600\)\) exceeds"):
+        tabulate(parse_map("C(x-1,600)"), 2, 2**12, 12, budget=8 * 2**12)
+    # and the charge is the work done: a power or product column stays within 64 bits
+    # of 2^12, where the exact x^20000 would have 240,000 bits per point
+    for text in ("x^20000", "x*x*x*x*x*x*x*x"):
+        column, bits = _build(parse_map(text), 2, 12, 12, [])
+        assert bits <= 13 + 64 and max(column(list(range(2**12)))).bit_length() <= bits
 
 
 def _atoms(p: int):

@@ -69,10 +69,12 @@ class ReducedLevelMap:
 
     def restrict(self, domain_digits: int, codomain_digits: int) -> ReducedLevelMap:
         """The reduction Z/p**domain_digits -> Z/p**codomain_digits read off
-        this table: its first p**domain_digits entries, reduced."""
+        this table: its first p**domain_digits entries, reduced (at this
+        table's own codomain they already are)."""
         self._require_digits(domain_digits, codomain_digits)
-        modulus = self.p ** codomain_digits
-        table = tuple(v % modulus for v in self.table[: self.p ** domain_digits])
+        table = self.table[: self.p ** domain_digits]
+        if codomain_digits < self.codomain_digits:
+            table = tuple(map((self.p ** codomain_digits).__rmod__, table))
         return _level(self.p, domain_digits, codomain_digits, table)
 
     def _require_digits(self, domain_digits: int, codomain_digits: int) -> None:

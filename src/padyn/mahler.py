@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, compress
+from operator import mul
 
 from .mapdsl import _OPS_PER_ENTRY, MapExpr, _check_budget, binomial_degree, tabulate
 from .padic import Valuation, _count_factors, binomial_eval
@@ -198,10 +199,21 @@ def _differences(row, q: int) -> list[int]:
     row(j + h - t): one product of packed integers, each slot wide enough for (h + 1)(q - 1)^2,
     so no carry crosses into the next.  It keeps n - h of its n + h slots, so h is the largest
     power of two <= n / 3 (measured); each kernel is packed once per call, as q is fixed.
-    A part that is zero mod q has zero differences, so it returns zeros without a product:
-    the zero tail of a continuous map's coefficients costs O(n), but the top product that
-    finds the tail zero is paid in full."""
+    A part that is zero mod q has zero differences, so it returns zeros without a product.
+    When the head's coefficients end at a_d, d well below h (``_worth_checking``), the row's
+    (d + 1)-th differences are read first: if they vanish mod q, its coefficients past d are
+    zero, since the transform mod q is unitriangular, and the top product is skipped.  So the
+    zero tail of a continuous map's coefficients costs a product by a (d + 2)-slot kernel; a
+    failed test costs at most a quarter of the top product, which ``_transform_cost`` charges
+    either way."""
     kernels = {}
+
+    def kernel(order, width):
+        # (-1)^t C(order, t) mod q for t <= order, in slots of width bytes
+        if (order, width) not in kernels:
+            signed = [(-c if t % 2 else c) % q for t, c in enumerate(_binomials(order, order))]
+            kernels[order, width] = _pack(signed, width)
+        return kernels[order, width]
 
     def split(row):
         n = len(row)
@@ -212,17 +224,45 @@ def _differences(row, q: int) -> list[int]:
         if n <= _SPLIT_CUTOFF:
             return [row[0]] + split([(b - a) % q for a, b in zip(row, row[1:])])
         h = 1 << ((n // 3).bit_length() - 1)
-        if h not in kernels:
-            binoms = accumulate(range(h), lambda c, t: c * (h - t) // (t + 1), initial=1)
-            width = -(-((h + 1) * (q - 1) ** 2).bit_length() // 8)
-            kernel = [(-c if t % 2 else c) % q for t, c in enumerate(binoms)]
-            kernels[h] = width, _pack(kernel, width)
-        width, kernel = kernels[h]
-        data = (kernel * _pack(row, width)).to_bytes((n + h + 1) * width, "little")
-        g = [int.from_bytes(data[s * width : (s + 1) * width], "little") % q for s in range(h, n)]
-        return split(row[:h]) + split(g)
+        head = split(row[:h])
+        width = -(-((h + 1) * (q - 1) ** 2).bit_length() // 8)
+        packed = _pack(row, width)
+
+        def slots(order):
+            # slot s of the product is Delta^order row(s - order), for order <= h; the slots
+            # s >= h are those row[:h] does not fix
+            data = (kernel(order, width) * packed).to_bytes((n + order + 1) * width, "little")
+            cut = range(h * width, n * width, width)
+            return (int.from_bytes(data[i : i + width], "little") % q for i in cut)
+
+        d = max(compress(range(h), head), default=-1)
+        # the head's polynomial sum_{m <= d} a_m C(j, m) is probed at the last point, in O(d),
+        # before its (d+1)-th differences are read over the tail
+        if (
+            _worth_checking(d, h)
+            and sum(map(mul, head, _binomials(n - 1, d))) % q == row[-1]
+            and not any(slots(d + 1))
+        ):
+            return head + [0] * (n - h)
+        return head + split(list(slots(h)))
 
     return split(row)
+
+
+def _worth_checking(d: int, h: int) -> bool:
+    """Whether a row whose head row[:h] has coefficients ending at a_d is tested against that
+    head before the top product.  A product of the n-slot row by an s-slot kernel runs as about
+    n/s Karatsuba products of s slots, n s^(log2(3) - 1) in all, so the test's (d + 2)-slot
+    product costs ((d + 2) / (h + 1))^(log2(3) - 1) of the (h + 1)-slot one it can skip.  It
+    is tried when that share is at most 1/4, i.e. d + 2 <= (h + 1) / 10.7.  A row that fails
+    the test at the last point costs O(d); one that fails further in wastes at most a quarter
+    of the top product, plus reading the slots up to its first nonzero difference."""
+    return 4 * (d + 2) ** (math.log2(3) - 1) <= (h + 1) ** (math.log2(3) - 1)
+
+
+def _binomials(top: int, last: int):
+    """C(top, t) for 0 <= t <= last."""
+    return accumulate(range(last), lambda c, t: c * (top - t) // (t + 1), initial=1)
 
 
 def _pack(values, width: int) -> int:

@@ -119,6 +119,52 @@ def test_transform_matches_reference_on_rows_whose_differences_vanish(p):
                 assert mahler._differences(list(row), q) == reference_differences(row, q), (n, K)
 
 
+def _split_point(n):
+    # the transform's h for a row of n: the largest power of two <= n / 3 (1 below n = 3)
+    return 1 << max((n // 3).bit_length() - 1, 0)
+
+
+def _sparse_head_rows(n, q, rng):
+    """(d, tail, row) for rows whose first h coefficients are a_0, a_{d/2} and a_d
+    (a_d nonzero), on the degrees the transform's head test is tried at and past it.
+    The tail after row[:h] is: zero (the row is the head's polynomial), dense (random
+    values), zero except a_{n-1} (the polynomial but for its last point), or the
+    polynomial but for the middle point of the tail, which the last-point probe cannot see."""
+    h = _split_point(n)
+    for d in sorted({min(d, h - 1) for d in (0, 1, 2, h // 8, h // 4)}):
+        a = {0: rng.randrange(q), d // 2: rng.randrange(q), d: rng.randrange(1, q)}
+        poly = [sum(c * math.comb(j, m) for m, c in a.items()) % q for j in range(n)]
+        yield d, "zero", poly
+        yield d, "dense", poly[:h] + [rng.randrange(q) for _ in range(h, n)]
+        yield d, "last", poly[:-1] + [(poly[-1] + rng.randrange(1, q)) % q]
+        j = (h + n) // 2
+        if j < n - 1:
+            yield d, "inner point", poly[:j] + [(poly[j] + rng.randrange(1, q)) % q] + poly[j + 1 :]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_transform_matches_reference_after_a_sparse_head(p, monkeypatch):
+    # a row its head's polynomial explains skips the top product: its kernel of h + 1
+    # slots is never packed when the head test is tried; every other row falls through
+    lengths = []
+    pack = mahler._pack
+    monkeypatch.setattr(
+        mahler, "_pack", lambda values, width: lengths.append(len(values)) or pack(values, width)
+    )
+    rng = random.Random(p)
+    for n in LENGTHS:
+        h = _split_point(n)
+        for K in (1, 33, 70):
+            q = p**K
+            for d, tail, row in _sparse_head_rows(n, q, rng):
+                lengths.clear()
+                assert mahler._differences(list(row), q) == reference_differences(row, q), (
+                    n, K, d, tail,
+                )
+                if tail == "zero" and n > mahler._SPLIT_CUTOFF and mahler._worth_checking(d, h):
+                    assert h + 1 not in lengths, (n, K, d)
+
+
 def test_transform_matches_reference_at_scan_size():
     e = parse_map("sigma(x^2+x+1)")
     c = mahler_coeffs(e, 2, 4096, 64)
@@ -247,6 +293,19 @@ def test_zero_row_packs_nothing(monkeypatch):
     last = [0] * 4096 + [1]
     assert mahler._differences(last, q) == last
     assert widths
+
+
+def test_scan_row_skips_its_top_products(monkeypatch):
+    # sigma(x^2+x+1) = C(x+1, 2) at p = 2: its coefficients end at a_2, so the top level's
+    # head test (a 4-slot kernel) explains the row and the h = 1024 kernel is never packed
+    lengths = []
+    pack = mahler._pack
+    monkeypatch.setattr(
+        mahler, "_pack", lambda values, width: lengths.append(len(values)) or pack(values, width)
+    )
+    c = mahler_coeffs(parse_map("sigma(x^2+x+1)"), 2, 4096, 64)
+    assert c.residues[:3] == (0, 1, 1) and not any(c.residues[3:])
+    assert 4 in lengths and 1025 not in lengths
 
 
 def test_polynomial_row_is_cut_at_its_degree(monkeypatch):

@@ -61,7 +61,6 @@ from .dynamics import (
     level_map,
     orbit,
     padded_endomap,
-    plot_levels,
     preimage_census,
     reduced_map,
     to_pgm,

@@ -121,10 +121,9 @@ def parse_automaton(text: str) -> Automaton:
     parts = body.split()
     if len(parts) != 2 or parts[0] != "p":
         raise AutomatonFormatError("expected 'p <prime>'", line=lineno)
-    try:
-        p = int(parts[1])
-    except ValueError:
-        raise AutomatonFormatError(f"bad prime {parts[1]!r}", line=lineno) from None
+    if not (parts[1].isascii() and parts[1].isdigit()):
+        raise AutomatonFormatError(f"bad prime {parts[1]!r}", line=lineno)
+    p = int(parts[1])
     if not is_prime(p):
         raise AutomatonFormatError(f"alphabet size must be prime, got {p}", line=lineno)
     if p > 7:
@@ -162,10 +161,9 @@ def parse_automaton(text: str) -> Automaton:
         src, letter_text = head_parts
         if src not in states:
             raise AutomatonFormatError(f"unknown state {src!r}", line=lineno)
-        try:
-            letter = int(letter_text)
-        except ValueError:
-            raise AutomatonFormatError(f"bad letter {letter_text!r}", line=lineno) from None
+        if not (letter_text.isascii() and letter_text.isdigit()):
+            raise AutomatonFormatError(f"bad letter {letter_text!r}", line=lineno)
+        letter = int(letter_text)
         if not 0 <= letter < p:
             raise AutomatonFormatError(f"letter {letter} out of range for p={p}", line=lineno)
         target = target.strip()
@@ -175,7 +173,7 @@ def parse_automaton(text: str) -> Automaton:
         if outword == "-":
             word: tuple[int, ...] = ()
         else:
-            if not outword.isdigit():
+            if not (outword.isascii() and outword.isdigit()):
                 raise AutomatonFormatError(f"bad output word {outword!r}", line=lineno)
             word = tuple(int(c) for c in outword)
             if any(d >= p for d in word):

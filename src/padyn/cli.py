@@ -27,7 +27,7 @@ from .errors import (
     PrecisionError,
     UnboundedLookaheadError,
 )
-from .mapdsl import DEFAULT_BUDGET, AutoApply, Var, parse_map
+from .mapdsl import DEFAULT_BUDGET, AutoApply, Var, _load_automaton, parse_map
 from .padic import is_prime
 
 __all__ = ["main", "run_command", "render_report"]
@@ -120,7 +120,7 @@ def _get_expr(args):
         raise ValueError("exactly one of --map and --file is required")
     if args.map is not None:
         return parse_map(args.map)
-    machine = automata.parse_automaton(Path(args.file).read_text())
+    machine = _load_automaton(args.file)
     return AutoApply.checked(args.file, machine, Var())
 
 
@@ -179,7 +179,7 @@ def _cycle_row(m: int, report: dynamics.CycleReport) -> dict:
 
 def _plotset_section(top: dynamics.ReducedLevelMap, args) -> dict:
     """The plot-set summary; also writes the --csv and --pgm files."""
-    ps = dynamics.plot_levels(top, args.n, range(1, args.kmax + 1))
+    ps = dynamics.PlotSet(top, args.n, range(1, args.kmax + 1))
     if args.grid < 1:  # before --csv is opened
         raise ValueError("grid size must be >= 1")
     if args.grid**2 > DEFAULT_BUDGET:  # whatever --budget says: it sizes the table
@@ -222,7 +222,7 @@ def _dispatch(args, budget) -> dict:
     if args.subcommand == "automaton":
         if not args.file:
             raise ValueError("the automaton subcommand requires --file")
-        machine = automata.parse_automaton(Path(args.file).read_text())
+        machine = _load_automaton(args.file)
         verdict = automata.check_nondegenerate(machine)
         report["verdicts"]["nondegenerate"] = {
             "kind": "nondegenerate" if verdict.nondegenerate else "degenerate_at",
@@ -294,11 +294,7 @@ def _dispatch(args, budget) -> dict:
 
     checks = [args.which] if args.subcommand == "check" else list(_CHECKS)[:-1]
     for which in checks:
-        try:
-            verdict = _CHECKS[which](coeffs, args)
-        except mahler.CoefficientRangeError as exc:
-            raise ValueError(f"check {which} needs --mmax >= p^n = {exc.needed}") from None
-        report["verdicts"][which.replace("-", "_")] = verdict.to_json()
+        report["verdicts"][which.replace("-", "_")] = _CHECKS[which](coeffs, args).to_json()
     if args.subcommand == "check":
         return report
 

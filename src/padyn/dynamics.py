@@ -35,7 +35,6 @@ __all__ = [
     "level_map",
     "orbit",
     "padded_endomap",
-    "plot_levels",
     "preimage_census",
     "reduced_map",
     "to_pgm",
@@ -295,19 +294,13 @@ def _fractions(pts, x_den: int, y_den: int) -> frozenset[tuple[Fraction, Fractio
     return frozenset((Fraction(x, x_den), Fraction(y, y_den)) for x, y in pts)
 
 
-def plot_levels(m: ReducedLevelMap, n: int, k_values) -> PlotSet:
-    """Plot levels read off one table: level k is the point set of
-    ``m.restrict(n + k, k)``, so m must cover Z/p**(n+k) -> Z/p**k."""
-    return PlotSet(m, n, k_values)
-
-
 def accumulate_plot(
     e: MapExpr, p: int, n: int, k_max: int, budget: int | None = None
 ) -> PlotSet:
     """Union of the plots for k = 1..k_max, all read off the level-k_max table."""
     if n < 1 or k_max < 1:
         raise ValueError("need n >= 1 and k_max >= 1")
-    return plot_levels(reduced_map(e, p, n + k_max, k_max, budget), n, range(1, k_max + 1))
+    return PlotSet(reduced_map(e, p, n + k_max, k_max, budget), n, range(1, k_max + 1))
 
 
 @dataclass(frozen=True)

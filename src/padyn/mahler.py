@@ -19,7 +19,6 @@ from .mapdsl import _OPS_PER_ENTRY, MapExpr, _check_budget, binomial_degree, tab
 from .padic import Valuation, _count_factors, binomial_eval
 
 __all__ = [
-    "CoefficientRangeError",
     "MahlerCoeffs",
     "Verdict",
     "check_bernoulli_properties",
@@ -34,14 +33,7 @@ __all__ = [
 
 _SPLIT_CUTOFF = 32  # Mahler rows up to this length take the plain difference loop (measured)
 _DIVIDES = "a_{} = 0 (mod p^{})".format  # the clause p**req | a_m, as condition(m, req)
-
-
-class CoefficientRangeError(ValueError):
-    """A check needs the coefficients up to index ``needed``, past ``max_index``."""
-
-    def __init__(self, message: str, needed: int):
-        super().__init__(message)
-        self.needed = needed
+_SUFFICIENT = "sufficient condition only"
 
 
 @dataclass(frozen=True)
@@ -306,6 +298,16 @@ class _Scan:
             if self.undecided is None:
                 self.undecided = Verdict.undecidable(self.c.max_index, m, condition(m, required))
 
+    def reaches(self, m: int, condition: str) -> bool:
+        """Whether the coefficients reach index m.  If not, ``condition`` is undecidable
+        there, below any violation already found, and the check stops scanning."""
+        M = self.c.max_index
+        if m > M and self.undecided is None:
+            self.undecided = Verdict.undecidable(
+                M, m, f"{condition} needs M >= {m}", f"coefficients computed only up to M = {M}"
+            )
+        return m <= M
+
     def require(self, ok: bool, m: int, condition: str, observed: str, definitive=False):
         if self.violation is None and not ok:
             self.violation = Verdict.violated(
@@ -317,6 +319,13 @@ class _Scan:
         if found is not None:
             return replace(found, note=note)
         return Verdict.satisfied(self.c.max_index, total=total, note=note)
+
+
+def _block(p: int, n: int) -> int:
+    """p**n, the index the level-n checks read; n must be >= 1."""
+    if n < 1:
+        raise ValueError("complex-shift level must be >= 1")
+    return p ** n
 
 
 def _logs(start: int, stop: int, base: int):
@@ -333,23 +342,16 @@ def check_bernoulli_properties(c: MahlerCoeffs, n: int) -> Verdict:
     """Structural properties of the n-fold digit shift's coefficients:
     zero below p**n, one at p**n, and p**j dividing a_m once
     m > j*p**n - j + 1."""
-    if n < 1:
-        raise ValueError("shift level must be >= 1")
-    p, M = c.p, c.max_index
-    block = p ** n
+    M, block = c.max_index, _block(c.p, n)
     scan = _Scan(c)
     for m in range(min(block, M + 1)):
         scan.require(
             c.residues[m] == 0, m, f"a_{m} = 0 for m < p^{n}", f"a_{m} = {c.signed(m)}"
         )
-    if M < block:
-        if scan.violation is None:
-            shortfall = f"coefficients computed only up to M = {M}"
-            return Verdict.undecidable(M, block, f"a_{{p^{n}}} = 1 needs M >= {block}", shortfall)
+    clause = f"a_{{p^{n}}} = 1"
+    if not scan.reaches(block, clause):
         return scan.verdict()
-    scan.require(
-        c.residues[block] == 1, block, f"a_{{p^{n}}} = 1", f"a_{block} = {c.signed(block)}"
-    )
+    scan.require(c.residues[block] == 1, block, clause, f"a_{block} = {c.signed(block)}")
     # largest j with m > j*(p^n - 1) + 1, restricted to j <= K
     scan.require_valuations(
         ((m, min(-(-(m - 1) // (block - 1)) - 1, c.precision)) for m in range(2, M + 1)),
@@ -362,14 +364,13 @@ def check_lipschitz_mp(c: MahlerCoeffs) -> Verdict:
     """Coefficient conditions for a 1-Lipschitz measure-preserving map:
     a_1 a unit, and a_m divisible by p**(floor(log_p m) + 1) for m >= 2."""
     p, M = c.p, c.max_index
-    if M < 1:
-        raise ValueError("need coefficients at least up to index 1")
+    clause = "a_1 not = 0 (mod p)"
     scan = _Scan(c)
-    scan.require(
-        c.residues[1] % p != 0, 1, "a_1 not = 0 (mod p)", f"a_1 = {c.signed(1)}"
-    )
+    if not scan.reaches(1, clause):
+        return scan.verdict(note=_SUFFICIENT)
+    scan.require(c.residues[1] % p != 0, 1, clause, f"a_1 = {c.signed(1)}")
     scan.require_valuations(((m, e + 1) for m, e in _logs(2, M + 1, p)), _DIVIDES)
-    return scan.verdict(total=c.total, note="sufficient condition only")
+    return scan.verdict(total=c.total, note=_SUFFICIENT)
 
 
 def check_lipschitz_ergodic(c: MahlerCoeffs, strict_m1: bool = False) -> Verdict:
@@ -382,10 +383,8 @@ def check_lipschitz_ergodic(c: MahlerCoeffs, strict_m1: bool = False) -> Verdict
     For p = 2 the conditions are necessary, so violations are definitive.
     """
     p, M = c.p, c.max_index
-    if M < 1:
-        raise ValueError("need coefficients at least up to index 1")
     definitive = p == 2
-    note = "necessary and sufficient for p=2" if definitive else "sufficient condition only"
+    note = "necessary and sufficient for p=2" if definitive else _SUFFICIENT
     scan = _Scan(c)
     scan.require(
         c.residues[0] % p != 0,
@@ -394,16 +393,19 @@ def check_lipschitz_ergodic(c: MahlerCoeffs, strict_m1: bool = False) -> Verdict
         f"a_0 = {c.signed(0)}",
         definitive=definitive,
     )
+    clause = "a_1 = 1 (mod 4)" if p == 2 else "a_1 = 1 (mod p)"
+    if not scan.reaches(1, clause):
+        return scan.verdict(note=note)
     if p == 2:
         if c.precision < 2:
             if scan.violation is None:
                 shortfall = f"working precision is K = {c.precision}"
-                return Verdict.undecidable(M, 1, "a_1 = 1 (mod 4) needs K >= 2", shortfall, note)
+                return Verdict.undecidable(M, 1, f"{clause} needs K >= 2", shortfall, note)
         else:
             scan.require(
                 c.residues[1] % 4 == 1,
                 1,
-                "a_1 = 1 (mod 4)",
+                clause,
                 f"a_1 = {c.signed(1) % 4} (mod 4)",
                 definitive=True,
             )
@@ -411,7 +413,7 @@ def check_lipschitz_ergodic(c: MahlerCoeffs, strict_m1: bool = False) -> Verdict
         scan.require(
             c.residues[1] % p == 1,
             1,
-            "a_1 = 1 (mod p)",
+            clause,
             f"a_1 = {c.signed(1) % p} (mod {p})",
         )
     start = 1 if strict_m1 else 2
@@ -424,10 +426,7 @@ def check_lipschitz_ergodic(c: MahlerCoeffs, strict_m1: bool = False) -> Verdict
 def check_complex_shift_bound(c: MahlerCoeffs, n: int) -> Verdict:
     """Coefficient growth bound characterising complex shifts at level n:
     |a_m| <= p**(1 - floor(log_{p^n} m)) for every m >= 1."""
-    if n < 1:
-        raise ValueError("complex-shift level must be >= 1")
-    p, M = c.p, c.max_index
-    base = p ** n
+    M, base = c.max_index, _block(c.p, n)
     scan = _Scan(c)
     scan.require_valuations(
         ((m, e - 1) for m, e in _logs(1, M + 1, base)),
@@ -436,45 +435,38 @@ def check_complex_shift_bound(c: MahlerCoeffs, n: int) -> Verdict:
     return scan.verdict(total=c.total)
 
 
-def _require_up_to(c: MahlerCoeffs, n: int) -> int:
-    if n < 1:
-        raise ValueError("complex-shift level must be >= 1")
-    block = c.p ** n
-    if c.max_index < block:
-        raise CoefficientRangeError(
-            f"need coefficients up to index p^{n} = {block}, have {c.max_index}", block
-        )
-    return block
-
-
 def check_cs_mp(c: MahlerCoeffs, n: int) -> Verdict:
     """Sufficient conditions for a level-n complex shift to preserve the
     uniform measure: a unit at index p**n, then tail divisibility
     p**floor(log_{p^n} m) | a_m for m > p**n."""
-    p, M = c.p, c.max_index
-    block = _require_up_to(c, n)
+    p, M, block = c.p, c.max_index, _block(c.p, n)
+    clause = f"a_m not = 0 (mod p) for m = p^{n}"
     scan = _Scan(c)
+    if not scan.reaches(block, clause):
+        return scan.verdict(note=_SUFFICIENT)
     scan.require(
         c.residues[block] % p != 0,
         block,
-        f"a_m not = 0 (mod p) for m = p^{n}",
+        clause,
         f"a_{block} = {c.signed(block)}",
     )
     scan.require_valuations(_logs(block + 1, M + 1, block), _DIVIDES)
-    return scan.verdict(total=c.total, note="sufficient condition only")
+    return scan.verdict(total=c.total, note=_SUFFICIENT)
 
 
 def check_cs_ergodic(c: MahlerCoeffs, n: int) -> Verdict:
     """Sufficient conditions for a level-n complex shift to be ergodic:
     a_{p^n} = 1 mod p, the head sum a_1 + ... + a_{p^n - 1} divisible by
     p, and the same tail divisibility as the measure-preservation test."""
-    p, M = c.p, c.max_index
-    block = _require_up_to(c, n)
+    p, M, block = c.p, c.max_index, _block(c.p, n)
+    clause = f"a_m = 1 (mod p) for m = p^{n}"
     scan = _Scan(c)
+    if not scan.reaches(block, clause):
+        return scan.verdict(note=_SUFFICIENT)
     scan.require(
         c.residues[block] % p == 1,
         block,
-        f"a_m = 1 (mod p) for m = p^{n}",
+        clause,
         f"a_{block} = {c.signed(block) % p} (mod {p})",
     )
     head = sum(c.residues[m] for m in range(1, block)) % p
@@ -485,4 +477,4 @@ def check_cs_ergodic(c: MahlerCoeffs, n: int) -> Verdict:
         f"sum = {head} (mod {p})",
     )
     scan.require_valuations(_logs(block + 1, M + 1, block), _DIVIDES)
-    return scan.verdict(total=c.total, note="sufficient condition only")
+    return scan.verdict(total=c.total, note=_SUFFICIENT)

@@ -160,6 +160,7 @@ MapExpr = (
 # --- tokenizer / parser ------------------------------------------------
 
 _SYMBOLS = "+-*^(),[]"
+_DIGITS = "0123456789"  # ASCII only: str.isdigit also takes superscripts and other scripts' digits
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -174,9 +175,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             tokens.append(("sym", c, i))
             i += 1
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", int(text[i:j]), i))
             i = j
@@ -406,11 +407,23 @@ def factorial_valuation(m: int, p: int) -> int:
     return total
 
 
-def _series_drop(coeffs: tuple[int, ...], p: int) -> int:
-    """Digits a Mahler series spends on its binomial denominators."""
-    return max(
-        (factorial_valuation(m, p) for m, a in enumerate(coeffs) if a != 0), default=0
-    )
+def _series_top(e: Binom | MahlerLit) -> int:
+    """The index of a series' last nonzero coefficient: m for C(v, m), 0 for none."""
+    if isinstance(e, Binom):
+        return e.lower
+    return max((m for m, a in enumerate(e.coeffs) if a != 0), default=0)
+
+
+def _consumed(e: MapExpr, p: int) -> int:
+    """Digits e itself consumes: its operand mod p**(k + this) fixes e mod p**k.  Digit
+    shifts spend their shifts, series v_p(top!), automata their deficit, other nodes none."""
+    if isinstance(e, Sigma):
+        return e.shifts
+    if isinstance(e, (Binom, MahlerLit)):
+        return factorial_valuation(_series_top(e), p)
+    if isinstance(e, AutoApply):
+        return e.deficit
+    return 0
 
 
 def lookahead_bound(e: MapExpr, p: int) -> int:
@@ -419,20 +432,12 @@ def lookahead_bound(e: MapExpr, p: int) -> int:
     denominators consume digits."""
     if isinstance(e, (Const, Var)):
         return 0
-    if isinstance(e, Neg):
-        return lookahead_bound(e.operand, p)
     if isinstance(e, (Add, Sub, Mul)):
         return max(lookahead_bound(e.left, p), lookahead_bound(e.right, p))
     if isinstance(e, Pow):
         return lookahead_bound(e.base, p)
-    if isinstance(e, Sigma):
-        return e.shifts + lookahead_bound(e.operand, p)
-    if isinstance(e, Binom):
-        return lookahead_bound(e.operand, p) + factorial_valuation(e.lower, p)
-    if isinstance(e, MahlerLit):
-        return lookahead_bound(e.operand, p) + _series_drop(e.coeffs, p)
-    if isinstance(e, AutoApply):
-        return lookahead_bound(e.operand, p) + e.deficit
+    if isinstance(e, (Neg, Sigma, Binom, MahlerLit, AutoApply)):
+        return lookahead_bound(e.operand, p) + _consumed(e, p)
     raise TypeError(f"not a map expression: {e!r}")
 
 
@@ -457,13 +462,9 @@ def binomial_degree(e: MapExpr) -> int | None:
     if isinstance(e, Pow):
         d = binomial_degree(e.base)
         return None if d is None else d * e.exponent
-    if isinstance(e, Binom):
+    if isinstance(e, (Binom, MahlerLit)):
         d = binomial_degree(e.operand)
-        return None if d is None else d * e.lower
-    if isinstance(e, MahlerLit):
-        d = binomial_degree(e.operand)
-        top = max((m for m, a in enumerate(e.coeffs) if a != 0), default=0)
-        return None if d is None else d * top
+        return None if d is None else d * _series_top(e)
     return None
 
 
@@ -529,31 +530,29 @@ def _build(e: MapExpr, p: int, digits: int, lift_bits: int, costs: list) -> tupl
         if bits * exponent <= q.bit_length() + _SLACK_BITS:
             return (lambda xs: list(map(pow, f(xs), repeat(exponent)))), max(1, bits * exponent)
         return (lambda xs: list(map(pow, f(xs), repeat(exponent), repeat(q)))), q.bit_length()
-    if isinstance(e, Sigma):
-        wide, divisor = p ** (digits + e.shifts), p ** e.shifts
-        f, bits = _build(e.operand, p, digits + e.shifts, lift_bits, costs)
-        costs.append((_units(bits), e))
-        return (lambda xs: [v % wide // divisor for v in f(xs)]), q.bit_length()
-    if isinstance(e, Binom):
-        return _series(e, {e.lower: 1}, p, digits, lift_bits, costs)
-    if isinstance(e, MahlerLit):
-        return _series(e, {m: a for m, a in enumerate(e.coeffs) if a}, p, digits, lift_bits, costs)
-    if isinstance(e, AutoApply):
-        return _transducer(e, p, digits, lift_bits, costs)
+    if isinstance(e, (Sigma, Binom, MahlerLit, AutoApply)):
+        operand_digits = digits + _consumed(e, p)
+        f, bits = _build(e.operand, p, operand_digits, lift_bits, costs)
+        if isinstance(e, Sigma):
+            costs.append((_units(bits), e))
+            wide, divisor = p**operand_digits, p**e.shifts
+            return (lambda xs: [v % wide // divisor for v in f(xs)]), q.bit_length()
+        node = _transducer if isinstance(e, AutoApply) else _series
+        return node(e, p, digits, operand_digits, f, bits, costs)
     raise TypeError(f"not a map expression: {e!r}")
 
 
 def _series(
-    e: Binom | MahlerLit, coeffs: dict[int, int], p: int, digits: int, lift_bits: int, costs: list
+    e: Binom | MahlerLit, p: int, digits: int, operand_digits: int, f: Column, bits: int, costs: list
 ) -> tuple[Column, int]:
-    """The sum of a_m C(v, m), v the operand.  While v (v-1) ... (v-top+1) stays within
-    _SLACK_BITS of p**(digits + v_p(top!)), each C(v, m) is an exact ``math.comb``.
-    Past that, with e_m = v_p(m!), the falling factorial v (v-1) ... (v-m+1) = m! C(v, m)
-    is taken mod p**(digits + e_top) and divided by p**e_m exactly; the rest of m! is a
-    unit, inverted mod p**digits."""
-    top = max(coeffs, default=0)
-    drop = factorial_valuation(top, p)
-    q, wide = p ** digits, p ** (digits + drop)
+    """The sum of a_m C(v, m), v = f(xs) the operand, certified to ``operand_digits`` =
+    digits + v_p(top!) digits.  While v (v-1) ... (v-top+1) stays within _SLACK_BITS of
+    p**operand_digits, each C(v, m) is an exact ``math.comb``.  Past that, with e_m = v_p(m!),
+    the falling factorial v (v-1) ... (v-m+1) = m! C(v, m) is taken mod p**operand_digits and
+    divided by p**e_m exactly; the rest of m! is a unit, inverted mod p**digits."""
+    coeffs = {e.lower: 1} if isinstance(e, Binom) else {m: a for m, a in enumerate(e.coeffs) if a}
+    top = _series_top(e)
+    q, wide = p ** digits, p ** operand_digits
     scales = {}  # m -> (p**e_m, a_m times the inverse of the unit part of m!, mod q)
     valuation, unit = 0, 1
     for m in range(1, top + 1):
@@ -562,7 +561,6 @@ def _series(
         if m in coeffs:
             scales[m] = p**valuation, coeffs[m] * pow(unit, -1, q) % q
     constant = coeffs.get(0, 0) % q
-    f, bits = _build(e.operand, p, digits + drop, lift_bits, costs)
     exact = top * (bits + 1) <= wide.bit_length() + _SLACK_BITS
     width = min(top * (bits + 1), wide.bit_length() + _SLACK_BITS)
     costs.append(((top + len(scales)) * _units(width) * _units(bits), e))
@@ -588,16 +586,18 @@ def _series(
     return series, q.bit_length()
 
 
-def _transducer(e: AutoApply, p: int, digits: int, lift_bits: int, costs: list) -> tuple[Column, int]:
-    """The machine's first ``digits`` output digits.  No run of k letters emits fewer
-    than k - deficit, so digits + deficit input letters fix them; they are read c at a
-    time through the chunk tables, and letters past those only append output."""
+def _transducer(
+    e: AutoApply, p: int, digits: int, operand_digits: int, f: Column, bits: int, costs: list
+) -> tuple[Column, int]:
+    """The machine's first ``digits`` output digits.  No run of k letters emits fewer than
+    k - deficit, so the operand's first ``operand_digits`` = digits + deficit letters fix
+    them; they are read c at a time through the chunk tables, and letters past those only
+    append output."""
     if e.automaton.p != p:
         raise ValueError(f"automaton expects p={e.automaton.p}, map evaluated at p={p}")
     c, nexts, values, scales = e.chunks
-    steps = -(-(digits + e.deficit) // c)
+    steps = -(-operand_digits // c)
     chunk, q = p**c, p**digits
-    f, bits = _build(e.operand, p, digits + e.deficit, lift_bits, costs)
     costs.append((5 * steps * _units(max(bits, q.bit_length())), e))
 
     def transduce(xs):
@@ -723,7 +723,6 @@ class ComplexShiftDecomposition:
     f_table: tuple[int, ...]
     verified: bool
     witness: tuple[int, int, int, int] | None
-    log: tuple[str, ...]
 
     @property
     def modulus(self) -> int:
@@ -760,12 +759,6 @@ def decompose_complex_shift(
         ),
         None,
     )
-    if witness:
-        z, t0, t1, j = witness
-        sweep = f"G_z 1-Lipschitz sweep: FAIL at z={z}, t={t0} vs t'={t1} mod {p}^{j}"
-    else:
-        sweep = f"G_z 1-Lipschitz sweep at depth {depth}: pass"
-    log = [f"T extracted on Z/{p}^{n}: {list(t_table)}", sweep]
     return ComplexShiftDecomposition(
         p=p,
         n=n,
@@ -774,5 +767,4 @@ def decompose_complex_shift(
         f_table=f_table,
         verified=witness is None,
         witness=witness,
-        log=tuple(log),
     )

@@ -17,7 +17,10 @@ def test_every_all_name_resolves():
 
 
 def test_removed_api_stays_gone():
-    removed = ("PNorm", "distance", "from_digits", "guaranteed_output_length", "plot_points")
+    removed = (
+        "PNorm", "distance", "from_digits", "guaranteed_output_length", "plot_points",
+        "plot_levels", "CoefficientRangeError",
+    )
     for module in [padyn] + [importlib.import_module(f"padyn.{layer}") for layer in LAYERS]:
         assert [name for name in removed if hasattr(module, name)] == [], module.__name__
     members = ("from_int", "digit", "digits", "reduce", "sigma", "is_unit", "valuation", "norm")

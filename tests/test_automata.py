@@ -52,6 +52,10 @@ def test_parse_missing_row():
         ("p 2\nstates s\ninitial s\ns 0 -> s / 2\ns 1 -> s / 1\n", "out of range"),
         ("p 2\nstates s\ninitial s\ns 0 -> s / 0\ns 0 -> s / 1\ns 1 -> s / 1\n", "duplicate"),
         ("p 2\nstates s\ninitial s\nbogus line\ns 1 -> s / 1\n", "expected"),
+        # ASCII digits only: an Arabic-Indic two and zero, and a superscript two
+        ("p \u0662\nstates s\ninitial s\ns 0 -> s / 0\ns 1 -> s / 1\n", "line 1: bad prime"),
+        ("p 2\nstates s\ninitial s\ns \u0660 -> s / 0\ns 1 -> s / 1\n", "line 4: bad letter"),
+        ("p 2\nstates s\ninitial s\ns 0 -> s / \u00b2\ns 1 -> s / 1\n", "line 4: bad output word"),
     ],
 )
 def test_parse_errors(text, match):

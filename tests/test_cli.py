@@ -156,13 +156,27 @@ def test_analyze_evaluates_each_point_once(monkeypatch, shift1_path, p, n, kmax,
     ],
 )
 def test_mmax_below_p_to_the_n_names_the_flag_and_the_check(argv, check, minimum, capsys):
+    # a short row is an undecidable verdict at p^n that names the M (--mmax) it stopped at
+    short = int(argv[argv.index("--mmax") + 1])
     code, report = run_command(argv)
-    assert code == 2 and report is None
-    err = capsys.readouterr().err
-    assert "--mmax" in err and f"check {check} " in err and f"= {minimum}" in err
+    assert code == 0
+    name = check.replace("-", "_")
+    verdict = report["verdicts"][name]
+    assert verdict["kind"] == "undecidable_at" and verdict["m"] == minimum
+    assert verdict["condition"].endswith(f"needs M >= {minimum}")
+    assert verdict["observed"] == f"coefficients computed only up to M = {short}"
+    assert f"  {name}: UndecidableAt({minimum}): " in capsys.readouterr().out
     # at the minimum the check runs
     argv[argv.index("--mmax") + 1] = str(minimum)
-    assert run_command(argv)[0] == 0
+    code, report = run_command(argv)
+    assert code == 0 and report["verdicts"][name]["kind"] != "undecidable_at"
+
+
+def test_short_mmax_keeps_the_oracles():
+    # the census, cycles and plot set read no coefficient, so a short row loses none of them
+    reports = [run_command(["analyze", "--map", "x", "--mmax", mmax])[1] for mmax in ("1", "2")]
+    for key in ("census", "cycles", "plotset"):
+        assert reports[0][key] == reports[1][key]
 
 
 def test_orbit_steps_are_budgeted(capsys):
@@ -231,6 +245,9 @@ def test_unreadable_automaton_file_is_config_error(tmp_path, capsys):
     code, _ = run_command(["cycles", "--file", str(tmp_path / "missing.aut"), "--kmax", "3"])
     assert code == 2
     assert "missing.aut" in capsys.readouterr().err
+    code, _ = run_command(["automaton", "check", "--file", str(tmp_path / "missing.aut")])
+    assert code == 2
+    assert "cannot read automaton file" in capsys.readouterr().err
 
 
 def test_missing_automaton_in_map_is_config_error(tmp_path, capsys):

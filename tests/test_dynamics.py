@@ -21,7 +21,6 @@ from padyn.dynamics import (
     level_map,
     orbit,
     padded_endomap,
-    plot_levels,
     preimage_census,
     reduced_map,
     to_pgm,
@@ -287,7 +286,7 @@ def test_accumulated_levels_equal_single_level_plots():
     ps = accumulate_plot(e, 3, 1, 3)
     assert ps.k_values == (1, 2, 3)
     for k in ps.k_values:
-        assert ps.levels[k] == plot_levels(reduced_map(e, 3, 1 + k, k), 1, (k,)).levels[k]
+        assert ps.levels[k] == PlotSet(reduced_map(e, 3, 1 + k, k), 1, (k,)).levels[k]
 
 
 def test_plot_points_budget_counts_enumerated_points():
@@ -315,7 +314,7 @@ def test_box_count_shift_level_one():
 
 def test_box_count_empty():
     m = padded_endomap(parse_map("x"), 2, 1)
-    assert box_count(plot_levels(m, 1, ()), 7).fraction == 0
+    assert box_count(PlotSet(m, 1, ()), 7).fraction == 0
 
 
 def test_box_count_grid_refinement():
@@ -420,7 +419,7 @@ def reference_plot(m, n, k_values, grid):
 
 
 def assert_walk_matches_reference(m, n, k_values, grid):
-    ps = plot_levels(m, n, k_values)
+    ps = PlotSet(m, n, k_values)
     bc = box_count(ps, grid)
     ref = reference_plot(m, n, k_values, grid)
     assert to_csv(ps) == ref["csv"]
@@ -474,7 +473,7 @@ def test_plot_walk_matches_level_set_merge_across_csv_batches(text, p, k_max):
     # the CSV is written in batches of _CSV_BATCH lines: this dump spans three or more,
     # and p=3 has y numerators divisible by p above x prime to p
     m = reduced_map(parse_map(text), p, 1 + k_max, k_max)
-    assert to_csv(plot_levels(m, 1, range(1, k_max + 1))).count("\n") > 2 * dynamics._CSV_BATCH
+    assert to_csv(PlotSet(m, 1, range(1, k_max + 1))).count("\n") > 2 * dynamics._CSV_BATCH
     assert_walk_matches_reference(m, 1, tuple(range(1, k_max + 1)), 64)
 
 

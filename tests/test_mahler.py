@@ -494,10 +494,25 @@ def test_cs_ergodic_identity():
 
 def test_cs_checks_need_enough_coefficients():
     c = coeffs_of("sigma(x)", 2, M=1)
-    with pytest.raises(ValueError):
-        check_cs_ergodic(c, 1)
-    with pytest.raises(ValueError):
-        check_cs_mp(c, 1)
+    for check in (check_cs_ergodic, check_cs_mp):
+        verdict = check(c, 1)
+        assert verdict.kind == "undecidable_at" and verdict.m == 2 and verdict.bound == 1
+        assert verdict.condition.endswith("needs M >= 2")
+        assert verdict.observed == "coefficients computed only up to M = 1"
+        with pytest.raises(ValueError):
+            check(c, 0)
+
+
+def test_lipschitz_checks_on_a_row_without_a_1():
+    c = coeffs_of("x+1", 2, M=0)
+    verdict = check_lipschitz_mp(c)
+    assert verdict.kind == "undecidable_at" and verdict.m == 1
+    assert verdict.observed == "coefficients computed only up to M = 0"
+    verdict = check_lipschitz_ergodic(c)
+    assert verdict.kind == "undecidable_at" and verdict.m == 1
+    assert verdict.condition == "a_1 = 1 (mod 4) needs M >= 1"
+    # a violation already found outranks the shortfall
+    assert check_lipschitz_ergodic(coeffs_of("2*x", 2, M=0)).kind == "violated_at"
 
 
 @pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (3, 1), (3, 2)])

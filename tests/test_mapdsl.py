@@ -83,6 +83,12 @@ def test_parse_errors(text):
         parse_map(text)
 
 
+@pytest.mark.parametrize("text", ["x^\u00b2", "x+\u0663"])  # a superscript two, an Arabic-Indic three
+def test_only_ascii_digits_are_numbers(text):
+    with pytest.raises(MapSyntaxError, match=r"unexpected character .* \(at position 2\)"):
+        parse_map(text)
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -121,9 +121,7 @@ def parse_automaton(text: str) -> Automaton:
     parts = body.split()
     if len(parts) != 2 or parts[0] != "p":
         raise AutomatonFormatError("expected 'p <prime>'", line=lineno)
-    if not (parts[1].isascii() and parts[1].isdigit()):
-        raise AutomatonFormatError(f"bad prime {parts[1]!r}", line=lineno)
-    p = int(parts[1])
+    p = _number(parts[1], "prime", lineno)
     if not is_prime(p):
         raise AutomatonFormatError(f"alphabet size must be prime, got {p}", line=lineno)
     if p > 7:
@@ -161,9 +159,7 @@ def parse_automaton(text: str) -> Automaton:
         src, letter_text = head_parts
         if src not in states:
             raise AutomatonFormatError(f"unknown state {src!r}", line=lineno)
-        if not (letter_text.isascii() and letter_text.isdigit()):
-            raise AutomatonFormatError(f"bad letter {letter_text!r}", line=lineno)
-        letter = int(letter_text)
+        letter = _number(letter_text, "letter", lineno)
         if not 0 <= letter < p:
             raise AutomatonFormatError(f"letter {letter} out of range for p={p}", line=lineno)
         target = target.strip()
@@ -189,6 +185,16 @@ def parse_automaton(text: str) -> Automaton:
     if dead:
         warnings.warn(f"ignoring inaccessible states: {', '.join(dead)}", stacklevel=2)
     return automaton
+
+
+def _number(text: str, what: str, lineno: int) -> int:
+    """An ASCII digit string as a number, or an ``AutomatonFormatError`` naming ``what``."""
+    if not (text.isascii() and text.isdigit()):
+        raise AutomatonFormatError(f"bad {what} {text!r}", line=lineno)
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise AutomatonFormatError(f"{what} of {len(text)} digits is too long", line=lineno) from None
 
 
 def run(a: Automaton, word) -> RunTrace:
@@ -243,7 +249,7 @@ def _value(word: tuple[int, ...], p: int) -> int:
 def check_nondegenerate(a: Automaton) -> NondegeneracyVerdict:
     """Degenerate iff the empty-output transition subgraph, restricted to
     accessible states, contains a cycle (an infinite silent run)."""
-    reachable = set(accessible_states(a))
+    reachable = accessible_states(a)  # breadth-first: the same witness in every process
     silent: dict[str, list[str]] = {s: [] for s in reachable}
     for s in reachable:
         for letter in range(a.p):

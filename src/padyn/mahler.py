@@ -70,9 +70,13 @@ class MahlerCoeffs:
     def valuation(self, m: int) -> Valuation:
         return self.valuations[m]
 
+    def residue(self, m: int) -> int:
+        """a_m mod p**K; past the row, 0 when the row is total (else an ``IndexError``)."""
+        return self.residues[m] if m < len(self.residues) or not self.total else 0
+
     def signed(self, m: int) -> int:
-        """Balanced representative in (-p**K/2, p**K/2], nicer to read."""
-        r = self.residues[m]
+        """Balanced representative of ``residue(m)`` in (-p**K/2, p**K/2], nicer to read."""
+        r = self.residue(m)
         return r if 2 * r <= self.modulus else r - self.modulus
 
     @property
@@ -299,14 +303,19 @@ class _Scan:
                 self.undecided = Verdict.undecidable(self.c.max_index, m, condition(m, required))
 
     def reaches(self, m: int, condition: str) -> bool:
-        """Whether the coefficients reach index m.  If not, ``condition`` is undecidable
-        there, below any violation already found, and the check stops scanning."""
+        """Whether a_m is known: the coefficients reach index m, or the row is total, so
+        a_m = 0 past it.  If not, ``condition`` falls short there."""
         M = self.c.max_index
-        if m > M and self.undecided is None:
-            self.undecided = Verdict.undecidable(
-                M, m, f"{condition} needs M >= {m}", f"coefficients computed only up to M = {M}"
-            )
-        return m <= M
+        if m <= M or self.c.total:
+            return True
+        self.short(m, f"{condition} needs M >= {m}", f"coefficients computed only up to M = {M}")
+        return False
+
+    def short(self, m: int, condition: str, observed: str) -> None:
+        """``condition`` is undecidable at m for the shortfall ``observed``, below any violation
+        already found; the check stops scanning there."""
+        if self.undecided is None:
+            self.undecided = Verdict.undecidable(self.c.max_index, m, condition, observed)
 
     def require(self, ok: bool, m: int, condition: str, observed: str, definitive=False):
         if self.violation is None and not ok:
@@ -351,7 +360,7 @@ def check_bernoulli_properties(c: MahlerCoeffs, n: int) -> Verdict:
     clause = f"a_{{p^{n}}} = 1"
     if not scan.reaches(block, clause):
         return scan.verdict()
-    scan.require(c.residues[block] == 1, block, clause, f"a_{block} = {c.signed(block)}")
+    scan.require(c.residue(block) == 1, block, clause, f"a_{block} = {c.signed(block)}")
     # largest j with m > j*(p^n - 1) + 1, restricted to j <= K
     scan.require_valuations(
         ((m, min(-(-(m - 1) // (block - 1)) - 1, c.precision)) for m in range(2, M + 1)),
@@ -368,7 +377,7 @@ def check_lipschitz_mp(c: MahlerCoeffs) -> Verdict:
     scan = _Scan(c)
     if not scan.reaches(1, clause):
         return scan.verdict(note=_SUFFICIENT)
-    scan.require(c.residues[1] % p != 0, 1, clause, f"a_1 = {c.signed(1)}")
+    scan.require(c.residue(1) % p != 0, 1, clause, f"a_1 = {c.signed(1)}")
     scan.require_valuations(((m, e + 1) for m, e in _logs(2, M + 1, p)), _DIVIDES)
     return scan.verdict(total=c.total, note=_SUFFICIENT)
 
@@ -396,26 +405,13 @@ def check_lipschitz_ergodic(c: MahlerCoeffs, strict_m1: bool = False) -> Verdict
     clause = "a_1 = 1 (mod 4)" if p == 2 else "a_1 = 1 (mod p)"
     if not scan.reaches(1, clause):
         return scan.verdict(note=note)
-    if p == 2:
-        if c.precision < 2:
-            if scan.violation is None:
-                shortfall = f"working precision is K = {c.precision}"
-                return Verdict.undecidable(M, 1, f"{clause} needs K >= 2", shortfall, note)
-        else:
-            scan.require(
-                c.residues[1] % 4 == 1,
-                1,
-                clause,
-                f"a_1 = {c.signed(1) % 4} (mod 4)",
-                definitive=True,
-            )
-    else:
-        scan.require(
-            c.residues[1] % p == 1,
-            1,
-            clause,
-            f"a_1 = {c.signed(1) % p} (mod {p})",
-        )
+    if p == 2 and c.precision < 2:
+        scan.short(1, f"{clause} needs K >= 2", f"working precision is K = {c.precision}")
+        return scan.verdict(note=note)
+    mod = 4 if p == 2 else p
+    scan.require(
+        c.residue(1) % mod == 1, 1, clause, f"a_1 = {c.signed(1) % mod} (mod {mod})", definitive
+    )
     start = 1 if strict_m1 else 2
     scan.require_valuations(
         ((m - 1, e + 1) for m, e in _logs(start + 1, M + 2, p)), _DIVIDES, definitive
@@ -445,7 +441,7 @@ def check_cs_mp(c: MahlerCoeffs, n: int) -> Verdict:
     if not scan.reaches(block, clause):
         return scan.verdict(note=_SUFFICIENT)
     scan.require(
-        c.residues[block] % p != 0,
+        c.residue(block) % p != 0,
         block,
         clause,
         f"a_{block} = {c.signed(block)}",
@@ -464,12 +460,12 @@ def check_cs_ergodic(c: MahlerCoeffs, n: int) -> Verdict:
     if not scan.reaches(block, clause):
         return scan.verdict(note=_SUFFICIENT)
     scan.require(
-        c.residues[block] % p == 1,
+        c.residue(block) % p == 1,
         block,
         clause,
         f"a_{block} = {c.signed(block) % p} (mod {p})",
     )
-    head = sum(c.residues[m] for m in range(1, block)) % p
+    head = sum(map(c.residue, range(1, block))) % p
     scan.require(
         head == 0,
         block - 1,

@@ -161,176 +161,133 @@ MapExpr = (
 
 _SYMBOLS = "+-*^(),[]"
 _DIGITS = "0123456789"  # ASCII only: str.isdigit also takes superscripts and other scripts' digits
+_EXPECTED = {"int": "expected a non-negative integer", "str": "expected a quoted file path"}
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     tokens = []
     i = 0
     while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
+        c, j = text[i], i + 1
         if c in _SYMBOLS:
             tokens.append(("sym", c, i))
-            i += 1
-            continue
-        if c in _DIGITS:
-            j = i
+        elif c in _DIGITS:
             while j < len(text) and text[j] in _DIGITS:
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
+            try:
+                tokens.append(("int", int(text[i:j]), i))
+            except ValueError:  # more digits than int() converts
+                raise MapSyntaxError(f"a number of {j - i} digits is too long", position=i) from None
+        elif c.isalpha() or c == "_":
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        if c == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
+        elif c == '"':
+            j = text.find('"', i + 1) + 1
+            if not j:
                 raise MapSyntaxError("unterminated string", position=i)
-            tokens.append(("str", text[i + 1 : j], i))
-            i = j + 1
-            continue
-        raise MapSyntaxError(f"unexpected character {c!r}", position=i)
+            tokens.append(("str", text[i + 1 : j - 1], i))
+        elif not c.isspace():
+            raise MapSyntaxError(f"unexpected character {c!r}", position=i)
+        i = j
     tokens.append(("end", None, len(text)))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the tokens, read through one cursor: ``accept`` takes an
+    optional symbol, ``expect`` a required token, and ``group`` a bracketed expression."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
+    def accept(self, symbols: str) -> str | None:
+        """The next token if it is one of ``symbols``, consumed; else None."""
+        kind, value, _ = self.tokens[self.pos]
+        if kind != "sym" or value not in symbols:
+            return None
         self.pos += 1
-        return tok
-
-    def expect_sym(self, sym: str):
-        kind, value, at = self.next()
-        if kind != "sym" or value != sym:
-            raise MapSyntaxError(f"expected {sym!r}", position=at)
-
-    def expect_uint(self) -> int:
-        kind, value, at = self.next()
-        if kind != "int":
-            raise MapSyntaxError("expected a non-negative integer", position=at)
         return value
 
-    def expect_int(self) -> int:
-        kind, value, _ = self.peek()
-        if kind == "sym" and value == "-":
-            self.next()
-            return -self.expect_uint()
-        return self.expect_uint()
+    def expect(self, kind: str, symbol: str | None = None):
+        """The value of the next token, consumed; it must be of ``kind`` (and be ``symbol``)."""
+        found, value, at = self.tokens[self.pos]
+        if found != kind or symbol not in (None, value):
+            raise MapSyntaxError(_EXPECTED.get(kind, f"expected {symbol!r}"), position=at)
+        self.pos += 1
+        return value
+
+    def group(self, close: str = ")") -> MapExpr:
+        """'(' expr close."""
+        self.expect("sym", "(")
+        e = self.expr()
+        self.expect("sym", close)
+        return e
 
     def parse(self) -> MapExpr:
         e = self.expr()
-        kind, _, at = self.peek()
+        kind, _, at = self.tokens[self.pos]
         if kind != "end":
             raise MapSyntaxError("trailing input", position=at)
         return e
 
     def expr(self) -> MapExpr:
-        e = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "sym" and value in "+-":
-                self.next()
-                rhs = self.term()
-                e = Add(e, rhs) if value == "+" else Sub(e, rhs)
-            else:
-                return e
-
-    def term(self) -> MapExpr:
-        e = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "sym" and value == "*":
-                self.next()
-                e = Mul(e, self.factor())
-            else:
-                return e
-
-    def factor(self) -> MapExpr:
-        kind, value, _ = self.peek()
-        if kind == "sym" and value == "-":
-            self.next()
-            return Neg(self.factor())
-        e = self.atom()
-        kind, value, _ = self.peek()
-        if kind == "sym" and value == "^":
-            self.next()
-            return Pow(e, self.expect_uint())
+        """term (('+' | '-') term)*.  Each term, factor ('*' factor)*, is read here, not by a
+        method of its own, so a bracket level costs four stack frames: expr, factor, atom, group."""
+        e, op = None, "+"
+        while op:
+            term = self.factor()
+            while self.accept("*"):
+                term = Mul(term, self.factor())
+            e = term if e is None else (Add if op == "+" else Sub)(e, term)
+            op = self.accept("+-")
         return e
 
+    def factor(self) -> MapExpr:
+        if self.accept("-"):
+            return Neg(self.factor())
+        e = self.atom()
+        return Pow(e, self.expect("int")) if self.accept("^") else e
+
     def atom(self) -> MapExpr:
-        kind, value, at = self.next()
+        kind, value, at = self.tokens[self.pos]
+        if kind == "sym" and value == "(":
+            return self.group()
+        self.pos += 1
         if kind == "int":
             return Const(value)
-        if kind == "sym" and value == "(":
-            e = self.expr()
-            self.expect_sym(")")
-            return e
-        if kind == "name":
-            if value == "x":
-                return Var()
-            if value == "sigma":
-                shifts = 1
-                k, v, _ = self.peek()
-                if k == "sym" and v == "^":
-                    self.next()
-                    shifts = self.expect_uint()
-                self.expect_sym("(")
-                e = self.expr()
-                self.expect_sym(")")
-                return Sigma(shifts, e)
-            if value == "C":
-                self.expect_sym("(")
-                e = self.expr()
-                self.expect_sym(",")
-                lower = self.expect_uint()
-                self.expect_sym(")")
-                return Binom(e, lower)
-            if value == "mahler":
-                self.expect_sym("[")
-                coeffs = [self.expect_int()]
-                while True:
-                    k, v, _ = self.peek()
-                    if k == "sym" and v == ",":
-                        self.next()
-                        coeffs.append(self.expect_int())
-                    else:
-                        break
-                self.expect_sym("]")
-                self.expect_sym("(")
-                e = self.expr()
-                self.expect_sym(")")
-                return MahlerLit(tuple(coeffs), e)
-            if value == "auto":
-                self.expect_sym("(")
-                k, path, pat = self.next()
-                if k != "str":
-                    raise MapSyntaxError("expected a quoted file path", position=pat)
-                self.expect_sym(")")
-                self.expect_sym("(")
-                e = self.expr()
-                self.expect_sym(")")
-                machine = _load_automaton(path)
-                try:
-                    return AutoApply.checked(path, machine, e)
-                except DegenerateAutomatonError as exc:
-                    raise MapSyntaxError(str(exc), position=pat) from None
-            raise MapSyntaxError(f"unknown identifier {value!r}", position=at)
-        raise MapSyntaxError("expected an expression", position=at)
+        if kind != "name":
+            raise MapSyntaxError("expected an expression", position=at)
+        if value == "x":
+            return Var()
+        if value == "sigma":
+            shifts = self.expect("int") if self.accept("^") else 1
+            return Sigma(shifts, self.group())
+        if value == "C":
+            e = self.group(",")
+            lower = self.expect("int")
+            self.expect("sym", ")")
+            return Binom(e, lower)
+        if value == "mahler":
+            self.expect("sym", "[")
+            coeffs = []
+            while not coeffs or self.accept(","):
+                coeffs.append(-self.expect("int") if self.accept("-") else self.expect("int"))
+            self.expect("sym", "]")
+            return MahlerLit(tuple(coeffs), self.group())
+        if value == "auto":
+            self.expect("sym", "(")
+            pat = self.tokens[self.pos][2]
+            path = self.expect("str")
+            self.expect("sym", ")")
+            e = self.group()
+            machine = _load_automaton(path)
+            try:
+                return AutoApply.checked(path, machine, e)
+            except DegenerateAutomatonError as exc:
+                raise MapSyntaxError(str(exc), position=pat) from None
+        raise MapSyntaxError(f"unknown identifier {value!r}", position=at)
 
 
 def _load_automaton(path: str) -> automata.Automaton:
@@ -351,6 +308,7 @@ def parse_map(text: str) -> MapExpr:
 # --- pretty printer ----------------------------------------------------
 
 _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_ATOM = 1, 2, 3, 4
+_INFIX = {Add: (" + ", _PREC_ADD), Sub: (" - ", _PREC_ADD), Mul: ("*", _PREC_MUL)}
 
 
 def _render(e: MapExpr) -> tuple[str, int]:
@@ -360,27 +318,22 @@ def _render(e: MapExpr) -> tuple[str, int]:
         return "x", _PREC_ATOM
     if isinstance(e, Neg):
         return f"-{_wrap(e.operand, _PREC_UNARY)}", _PREC_UNARY
-    if isinstance(e, Add):
-        return f"{_wrap(e.left, _PREC_ADD)} + {_wrap(e.right, _PREC_ADD + 1)}", _PREC_ADD
-    if isinstance(e, Sub):
-        return f"{_wrap(e.left, _PREC_ADD)} - {_wrap(e.right, _PREC_ADD + 1)}", _PREC_ADD
-    if isinstance(e, Mul):
-        return f"{_wrap(e.left, _PREC_MUL)}*{_wrap(e.right, _PREC_MUL + 1)}", _PREC_MUL
+    if isinstance(e, (Add, Sub, Mul)):
+        op, prec = _INFIX[type(e)]
+        return f"{_wrap(e.left, prec)}{op}{_wrap(e.right, prec + 1)}", prec
     if isinstance(e, Pow):
         return f"{_wrap(e.base, _PREC_ATOM)}^{e.exponent}", _PREC_UNARY
-    if isinstance(e, Sigma):
+    if isinstance(e, (Sigma, Binom, MahlerLit, AutoApply)):
         inner, _ = _render(e.operand)
-        head = "sigma" if e.shifts == 1 else f"sigma^{e.shifts}"
+        if isinstance(e, Binom):
+            return f"C({inner}, {e.lower})", _PREC_ATOM
+        if isinstance(e, Sigma):
+            head = "sigma" if e.shifts == 1 else f"sigma^{e.shifts}"
+        elif isinstance(e, MahlerLit):
+            head = f"mahler[{','.join(str(c) for c in e.coeffs)}]"
+        else:
+            head = f'auto("{e.path}")'
         return f"{head}({inner})", _PREC_ATOM
-    if isinstance(e, Binom):
-        inner, _ = _render(e.operand)
-        return f"C({inner}, {e.lower})", _PREC_ATOM
-    if isinstance(e, MahlerLit):
-        inner, _ = _render(e.operand)
-        return f"mahler[{','.join(str(c) for c in e.coeffs)}]({inner})", _PREC_ATOM
-    if isinstance(e, AutoApply):
-        inner, _ = _render(e.operand)
-        return f'auto("{e.path}")({inner})', _PREC_ATOM
     raise TypeError(f"not a map expression: {e!r}")
 
 
@@ -453,12 +406,11 @@ def binomial_degree(e: MapExpr) -> int | None:
         return 1
     if isinstance(e, Neg):
         return binomial_degree(e.operand)
-    if isinstance(e, (Add, Sub)):
+    if isinstance(e, (Add, Sub, Mul)):
         l, r = binomial_degree(e.left), binomial_degree(e.right)
-        return None if l is None or r is None else max(l, r)
-    if isinstance(e, Mul):
-        l, r = binomial_degree(e.left), binomial_degree(e.right)
-        return None if l is None or r is None else l + r
+        if l is None or r is None:
+            return None
+        return l + r if isinstance(e, Mul) else max(l, r)
     if isinstance(e, Pow):
         d = binomial_degree(e.base)
         return None if d is None else d * e.exponent

@@ -56,6 +56,17 @@ def test_parse_missing_row():
         ("p \u0662\nstates s\ninitial s\ns 0 -> s / 0\ns 1 -> s / 1\n", "line 1: bad prime"),
         ("p 2\nstates s\ninitial s\ns \u0660 -> s / 0\ns 1 -> s / 1\n", "line 4: bad letter"),
         ("p 2\nstates s\ninitial s\ns 0 -> s / \u00b2\ns 1 -> s / 1\n", "line 4: bad output word"),
+        # more digits than int() converts
+        pytest.param(
+            "p " + "2" * 5000 + "\nstates s\ninitial s\n",
+            "line 1: prime of 5000 digits is too long",
+            id="over-long prime",
+        ),
+        pytest.param(
+            "p 2\nstates s\ninitial s\ns " + "0" * 5000 + " -> s / 0\n",
+            "line 4: letter of 5000 digits is too long",
+            id="over-long letter",
+        ),
     ],
 )
 def test_parse_errors(text, match):

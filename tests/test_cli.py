@@ -150,13 +150,14 @@ def test_analyze_evaluates_each_point_once(monkeypatch, shift1_path, p, n, kmax,
 @pytest.mark.parametrize(
     "argv, check, minimum",
     [
-        (["analyze", "--map", "x", "--mmax", "1"], "cs-mp", 2),
-        (["check", "cs-mp", "--map", "x", "--n", "2", "--mmax", "3"], "cs-mp", 4),
-        (["check", "cs-ergodic", "--map", "x", "--p", "3", "--mmax", "2"], "cs-ergodic", 3),
+        (["analyze", "--map", "sigma(x)", "--mmax", "1"], "cs-mp", 2),
+        (["check", "cs-mp", "--map", "sigma(x)", "--n", "2", "--mmax", "3"], "cs-mp", 4),
+        (["check", "cs-ergodic", "--map", "sigma(x)", "--p", "3", "--mmax", "2"], "cs-ergodic", 3),
     ],
 )
 def test_mmax_below_p_to_the_n_names_the_flag_and_the_check(argv, check, minimum, capsys):
-    # a short row is an undecidable verdict at p^n that names the M (--mmax) it stopped at
+    # a short row of a map that is not a polynomial is an undecidable verdict at p^n that
+    # names the M (--mmax) it stopped at
     short = int(argv[argv.index("--mmax") + 1])
     code, report = run_command(argv)
     assert code == 0
@@ -170,6 +171,26 @@ def test_mmax_below_p_to_the_n_names_the_flag_and_the_check(argv, check, minimum
     argv[argv.index("--mmax") + 1] = str(minimum)
     code, report = run_command(argv)
     assert code == 0 and report["verdicts"][name]["kind"] != "undecidable_at"
+
+
+@pytest.mark.parametrize(
+    "argv, check, m, observed",
+    [
+        (["analyze", "--map", "x", "--mmax", "1"], "cs-mp", 2, "a_2 = 0"),
+        (["check", "cs-mp", "--map", "x", "--n", "2", "--mmax", "3"], "cs-mp", 4, "a_4 = 0"),
+        (
+            ["check", "cs-ergodic", "--map", "x", "--p", "3", "--mmax", "2"],
+            "cs-ergodic", 3, "a_3 = 0 (mod 3)",
+        ),
+        (["check", "bernoulli", "--map", "0", "--mmax", "1"], "bernoulli", 2, "a_2 = 0"),
+    ],
+)
+def test_a_total_row_short_of_p_to_the_n_is_decided(argv, check, m, observed):
+    # a polynomial's row is total: its coefficients past M are exactly 0, so the check decides
+    code, report = run_command(argv)
+    assert code == 0
+    verdict = report["verdicts"][check.replace("-", "_")]
+    assert (verdict["kind"], verdict["m"], verdict["observed"]) == ("violated_at", m, observed)
 
 
 def test_short_mmax_keeps_the_oracles():
@@ -565,6 +586,28 @@ def test_automaton_check(tmp_path):
     assert code == 0
     assert report["verdicts"]["synchronous"]["kind"] == "asynchronous"
     assert report["verdicts"]["lookahead"] == {"kind": "bounded", "deficit": 1}
+
+
+def test_degenerate_witness_is_the_same_in_every_process(tmp_path):
+    # a silent ring a -> b -> c -> d -> a; the walk follows the accessible states from the
+    # initial one, whatever the string hash seed
+    aut = tmp_path / "ring.aut"
+    rules = "".join(f"{s} {d} -> {t} / -\n" for s, t in zip("abcd", "bcda") for d in (0, 1))
+    aut.write_text("p 2\nstates a b c d\ninitial a\n" + rules)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "report.json"
+    argv = [sys.executable, "-m", "padyn", "automaton", "check", "--file", str(aut), "--json", str(out)]
+    reports = []
+    for seed in range(1, 5):
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(seed))
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        report = read_json(out)
+        del report["timing"]
+        reports.append(report)
+    assert reports == [reports[0]] * 4
+    assert reports[0]["verdicts"]["nondegenerate"] == {"kind": "degenerate_at", "witness": "a"}
 
 
 def test_automaton_file_with_missing_row(tmp_path, capsys):

@@ -267,6 +267,14 @@ def test_degree_bound_marks_polynomials():
     assert coeffs_of("x^2", 2, M=12).total
 
 
+def test_residue_past_a_total_row_is_zero():
+    # 3x + 1 = 1 + 3 C(x,1): a row to M = 1 is total, so every a_m past it is 0
+    total = coeffs_of("3*x+1", 2, M=1)
+    assert [total.residue(m) for m in range(4)] == [1, 3, 0, 0] and total.signed(3) == 0
+    with pytest.raises(IndexError):  # a row that is not total stops at M
+        coeffs_of("sigma(x)", 2, M=1).residue(2)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_degree_cut_matches_reference_on_the_full_row(p):
     # mahler_coeffs transforms a polynomial's first degree + 1 points only; the

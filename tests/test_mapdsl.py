@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import SHIFT1_FILE
 
@@ -81,6 +82,50 @@ def test_parse_auto_missing_file(tmp_path):
 def test_parse_errors(text):
     with pytest.raises(MapSyntaxError):
         parse_map(text)
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("1" * 5000, 0), ("x^" + "2" * 5000, 2), ("mahler[1,-" + "3" * 5000 + "](x)", 10)],
+    ids=["constant", "exponent", "mahler"],
+)
+def test_over_long_number_is_a_syntax_error_at_its_position(text, position):
+    # int() refuses strings of more than 4300 digits; that is a syntax error of the literal
+    message = rf"a number of 5000 digits is too long \(at position {position}\)"
+    with pytest.raises(MapSyntaxError, match=message):
+        parse_map(text)
+
+
+# every kind of token, spaces, quotes and non-ASCII letters and digits; no "auto", so no file is read
+_TOKENS = st.sampled_from(
+    ["0", "7", "12", "007", "x", "sigma", "C", "mahler", "y", "_z", "x1", *"+-*^(),[]",
+     '"', '"p"', " ", "\t", "\n", "\u00b2", "\u0663", "\u00e9", "\u03bb", "#"]
+)
+# well-formed expressions, so that the round trip is exercised too
+_EXPRESSIONS = st.recursive(
+    st.sampled_from(["x", "0", "7", "12"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", " - ", "*"]), inner).map("".join),
+        *(
+            inner.map(form.format)
+            for form in ["-{}", "({})^2", "sigma^2({})", "C({},3)", "mahler[1,-2]({})"]
+        ),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.lists(_TOKENS, max_size=14).map("".join), _EXPRESSIONS))
+@example("9" * 5000)
+@example("sigma^2(x)+C(-x,3)*mahler[0,-1](x^2)")
+def test_parse_map_round_trips_or_names_a_position(text):
+    try:
+        tree = parse_map(text)
+    except MapSyntaxError as exc:
+        assert 0 <= exc.position <= len(text)
+    else:
+        assert parse_map(to_text(tree)) == tree
 
 
 @pytest.mark.parametrize("text", ["x^\u00b2", "x+\u0663"])  # a superscript two, an Arabic-Indic three

@@ -125,10 +125,12 @@ def _get_expr(args):
 
 
 def _coefficient_rows(coeffs: mahler.MahlerCoeffs) -> list[dict]:
-    # equal valuations are one shared object, so each text is made once, keyed by identity
+    # equal valuations are one shared object, so each text is made once, keyed by identity;
+    # "signed" is MahlerCoeffs.signed(m), the balanced representative, inline
     text = {id(v): str(v) for v in {id(v): v for v in coeffs.valuations}.values()}
+    q = coeffs.modulus
     return [
-        {"m": m, "residue": r, "signed": coeffs.signed(m), "valuation": text[id(v)]}
+        {"m": m, "residue": r, "signed": r if 2 * r <= q else r - q, "valuation": text[id(v)]}
         for m, (r, v) in enumerate(zip(coeffs.residues, coeffs.valuations))
     ]
 
@@ -323,10 +325,37 @@ def _cycle_label(row: dict, p: int) -> str:
     return f"OneCycle(covers {row['cycle_lengths'][0]} of {p}^{row['m']})"
 
 
+# JSON text of each scalar type, as json.dumps writes it; floats (the timing) go to json.dumps
+_string = json.encoder.encode_basestring_ascii  # a TypeError for anything but a str
+_SCALARS = {str: _string, int: int.__repr__, float: json.dumps,
+            bool: lambda v: "true" if v else "false", type(None): lambda v: "null"}
+
+
+def _json(v, indent: str = "\n") -> str:
+    """``json.dumps(v, indent=2, sort_keys=True)``, byte for byte, for str-keyed dicts, lists
+    and the scalars above; any other type, or a key that is not a str, is a TypeError.  With
+    ``indent``, json.dumps runs its pure-Python encoder; this writer joins whole levels."""
+    if write := _SCALARS.get(type(v)):
+        return write(v)
+    inner = indent + "  "
+    if isinstance(v, dict):
+        items = [  # a scalar value is written here, without a call of its own
+            f"{_string(k)}: {write(x) if (write := _SCALARS.get(type(x))) else _json(x, inner)}"
+            for k, x in sorted(v.items())
+        ]
+        return "{" + inner + f",{inner}".join(items) + indent + "}" if v else "{}"
+    if not isinstance(v, (list, tuple)):
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+    # a list of ints (no bools), the long lists of a report, is written in one join
+    items = map(int.__repr__, v) if set(map(type, v)) == {int} else [_json(x, inner) for x in v]
+    return "[" + inner + f",{inner}".join(items) + indent + "]" if v else "[]"
+
+
 def render_report(report: dict, fmt: str = "text") -> str:
-    """Serialize a report; JSON output is byte-deterministic."""
+    """Serialize a report; JSON output is byte-deterministic, and byte for byte
+    ``json.dumps(report, indent=2, sort_keys=True)`` plus a newline."""
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return _json(report) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
     cfg = report["config"]
@@ -337,8 +366,10 @@ def render_report(report: dict, fmt: str = "text") -> str:
     if report["coefficients"]:
         p, K = cfg["p"], cfg["K"]
         lines.append(f"coefficients (signed representatives mod {p}^{K}):")
-        for row in report["coefficients"]:
-            lines.append(f"  a_{row['m']:<4d} = {row['signed']:<24d} [{row['valuation']}]")
+        lines += [  # str(i).ljust(w) is f"{i:<wd}" for an int i, without the format-spec parse
+            f"  a_{str(row['m']).ljust(4)} = {str(row['signed']).ljust(24)} [{row['valuation']}]"
+            for row in report["coefficients"]
+        ]
     if report["verdicts"]:
         lines.append("verdicts:")
         for name, data in report["verdicts"].items():

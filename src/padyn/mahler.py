@@ -10,7 +10,7 @@ polynomial, in which case the verdict is total.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate, compress
 from operator import mul
@@ -152,7 +152,7 @@ class Verdict:
         return text
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # asdict's dict without its deep copy: every field is a scalar
 
 
 def mahler_coeffs(

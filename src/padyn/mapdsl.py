@@ -40,6 +40,7 @@ from .padic import PadicApprox, _count_factors, is_prime
 
 __all__ = [
     "DEFAULT_BUDGET",
+    "MAX_DEPTH",
     "MAX_DIGITS",
     "MapExpr",
     "Const",
@@ -66,6 +67,10 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 1 << 22  # max table entries for any single enumeration
+# The most brackets a map nests, and the most operators on a path of its tree.  The parser
+# spends four stack frames per bracket and the printer two per operator, so at 200 every
+# walker stays under Python's default recursion limit of 1000 with about 180 frames to spare.
+MAX_DEPTH = 200
 
 
 # --- abstract syntax ---------------------------------------------------
@@ -201,6 +206,23 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0  # brackets open at the cursor
+        self.depths = {}  # id(node) -> operators on its longest path down; every node stays alive
+
+    @property
+    def last(self) -> int:
+        """The position of the token just consumed."""
+        return self.tokens[self.pos - 1][2]
+
+    def node(self, at: int, make, *fields) -> MapExpr:
+        """make(*fields), an operator over the nodes among ``fields``; a tree more than
+        MAX_DEPTH operators deep is a MapSyntaxError at ``at``."""
+        depth = 1 + max(self.depths.get(id(f), 0) for f in fields)
+        if depth > MAX_DEPTH:
+            raise MapSyntaxError(f"more than {MAX_DEPTH} nested operators", position=at)
+        e = make(*fields)
+        self.depths[id(e)] = depth
+        return e
 
     def accept(self, symbols: str) -> str | None:
         """The next token if it is one of ``symbols``, consumed; else None."""
@@ -219,9 +241,13 @@ class _Parser:
         return value
 
     def group(self, close: str = ")") -> MapExpr:
-        """'(' expr close."""
+        """'(' expr close, inside at most MAX_DEPTH brackets."""
         self.expect("sym", "(")
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise MapSyntaxError(f"more than {MAX_DEPTH} nested brackets", position=self.last)
         e = self.expr()
+        self.nesting -= 1
         self.expect("sym", close)
         return e
 
@@ -235,20 +261,27 @@ class _Parser:
     def expr(self) -> MapExpr:
         """term (('+' | '-') term)*.  Each term, factor ('*' factor)*, is read here, not by a
         method of its own, so a bracket level costs four stack frames: expr, factor, atom, group."""
-        e, op = None, "+"
+        e, op, at = None, "+", 0
         while op:
             term = self.factor()
-            while self.accept("*"):
-                term = Mul(term, self.factor())
-            e = term if e is None else (Add if op == "+" else Sub)(e, term)
-            op = self.accept("+-")
+            while self.accept("*"):  # the arguments are read in order: self.last is the '*'
+                term = self.node(self.last, Mul, term, self.factor())
+            e = term if e is None else self.node(at, Add if op == "+" else Sub, e, term)
+            op, at = self.accept("+-"), self.last
         return e
 
     def factor(self) -> MapExpr:
-        if self.accept("-"):
-            return Neg(self.factor())
+        """'-'* atom ('^' uint)?: the signs are counted in a loop, so a run of them is no
+        deeper on the stack than one."""
+        signs = []
+        while self.accept("-"):
+            signs.append(self.last)
         e = self.atom()
-        return Pow(e, self.expect("int")) if self.accept("^") else e
+        if self.accept("^"):
+            e = self.node(self.last, Pow, e, self.expect("int"))
+        for at in reversed(signs):
+            e = self.node(at, Neg, e)
+        return e
 
     def atom(self) -> MapExpr:
         kind, value, at = self.tokens[self.pos]
@@ -263,19 +296,19 @@ class _Parser:
             return Var()
         if value == "sigma":
             shifts = self.expect("int") if self.accept("^") else 1
-            return Sigma(shifts, self.group())
+            return self.node(at, Sigma, shifts, self.group())
         if value == "C":
             e = self.group(",")
             lower = self.expect("int")
             self.expect("sym", ")")
-            return Binom(e, lower)
+            return self.node(at, Binom, e, lower)
         if value == "mahler":
             self.expect("sym", "[")
             coeffs = []
             while not coeffs or self.accept(","):
                 coeffs.append(-self.expect("int") if self.accept("-") else self.expect("int"))
             self.expect("sym", "]")
-            return MahlerLit(tuple(coeffs), self.group())
+            return self.node(at, MahlerLit, tuple(coeffs), self.group())
         if value == "auto":
             self.expect("sym", "(")
             pat = self.tokens[self.pos][2]
@@ -284,7 +317,7 @@ class _Parser:
             e = self.group()
             machine = _load_automaton(path)
             try:
-                return AutoApply.checked(path, machine, e)
+                return self.node(at, AutoApply.checked, path, machine, e)
             except DegenerateAutomatonError as exc:
                 raise MapSyntaxError(str(exc), position=pat) from None
         raise MapSyntaxError(f"unknown identifier {value!r}", position=at)

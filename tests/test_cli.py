@@ -5,12 +5,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import SHIFT1_FILE
 
 from padyn import cli, dynamics, mapdsl
 from padyn.cli import render_report, run_command
-from padyn.mahler import Verdict
+from padyn.mahler import MahlerCoeffs, Verdict, mahler_coeffs
+from padyn.mapdsl import MAX_DEPTH, parse_map
 
 
 REPORT_KEYS = {"config", "coefficients", "verdicts", "census", "cycles", "plotset", "timing"}
@@ -46,6 +48,49 @@ def test_map_and_file_are_exclusive(tmp_path):
 def test_unknown_subcommand_exits_two(capsys):
     code, _ = run_command(["frobnicate"])
     assert code == 2
+
+
+def _brackets(n):
+    return "(" * n + "x" + ")" * n
+
+
+def _sum(terms):
+    return "+".join(["x"] * terms)
+
+
+def _sigmas(n):
+    return "sigma(" * n + "x" + ")" * n
+
+
+def _signs(n):
+    return "-" * n + "x"
+
+
+@pytest.mark.parametrize("subcommand", ["mahler", "analyze"])
+@pytest.mark.parametrize(
+    "text, nested, position",
+    [
+        (_brackets(300), "brackets", MAX_DEPTH),  # the first '(' past the limit
+        (_sum(2000), "operators", 2 * MAX_DEPTH + 1),  # the '+' of one operator too many on a path
+        (_sigmas(2000), "brackets", 6 * MAX_DEPTH + 5),  # the '(' of the first sigma past the limit
+        (_signs(2000), "operators", 2000 - MAX_DEPTH - 1),  # the sign one past the limit from x
+    ],
+    ids=["brackets-300", "sum-2000", "sigma-2000", "signs-2000"],
+)
+def test_nesting_past_the_limit_exits_two_with_a_position(subcommand, text, nested, position, capsys):
+    assert run_command([subcommand, "--kmax", "2", f"--map={text}"]) == (2, None)
+    message = f"error: more than {MAX_DEPTH} nested {nested} (at position {position})"
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["mahler", "analyze"])
+@pytest.mark.parametrize(
+    "text",
+    [_brackets(MAX_DEPTH), _sum(MAX_DEPTH + 1), _sigmas(MAX_DEPTH), _signs(MAX_DEPTH)],
+    ids=["brackets", "sum", "sigma", "signs"],
+)
+def test_nesting_at_the_limit_runs(subcommand, text):
+    assert run_command([subcommand, "--kmax", "2", "--mmax", "4", f"--map={text}"])[0] == 0
 
 
 @pytest.mark.parametrize("subcommand", ["preimages", "cycles", "plotset", "analyze"])
@@ -464,6 +509,77 @@ def test_python_dash_m_runs_the_cli(capsys):
         return [line for line in text.splitlines() if not line.startswith("elapsed:")]
 
     assert untimed(done.stdout) == untimed(capsys.readouterr().out)
+
+
+# every value a JSON text can hold, with the strings, ints and int lists a report stresses
+_json_strings = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\n\t\x7f", "é€😀\u2028", "a\"b\\c"])
+_json_scalars = (
+    st.none() | st.booleans() | st.floats() | _json_strings
+    | st.integers() | st.integers(min_value=-(10**400), max_value=10**400)
+)
+_json_values = st.recursive(
+    _json_scalars | st.lists(st.integers() | st.booleans()),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_json_strings, inner),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_json_values)
+def test_json_writer_is_json_dumps(value):
+    assert cli._json(value) + "\n" == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [{1: 2}, {"a": [{None: 0}]}, object(), [1, {2, 3}], {"a": 1.5j}])
+def test_json_writer_refuses_what_a_report_never_holds(value):
+    with pytest.raises(TypeError):
+        cli._json(value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--map", "sigma(x^2+x+1)", "--kmax", "4", "--mmax", "32"],
+        ["mahler", "--p", "3", "--map", "C(x,3)+x", "--mmax", "20"],
+        ["check", "lipschitz-ergodic", "--map", "3*x+1"],
+        ["preimages", "--map", "x^2", "--kmax", "4"],
+        ["cycles", "--map", "x^2+x+1", "--kmax", "4"],
+        ["orbit", "--map", "x+1", "--x0", "3", "--steps", "5"],
+        ["plotset", "--map", "sigma(x)", "--kmax", "4", "--grid", "8"],
+        ["automaton", "check", "--file", "{aut}"],
+        ["automaton", "run", "--file", "{aut}", "--word", "1101"],
+    ],
+    ids=lambda argv: argv[0] if argv[0] != "automaton" else f"automaton-{argv[1]}",
+)
+def test_json_file_is_canonical_json_dumps(argv, shift1_path, tmp_path):
+    out = tmp_path / "report.json"
+    argv = [arg.format(aut=shift1_path) for arg in argv]
+    assert run_command(argv + ["--json", str(out)])[0] == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("p, K", [(2, 1), (2, 4), (3, 3), (5, 2)])
+def test_coefficient_rows_sign_like_mahler_coeffs(p, K):
+    # every residue mod p^K, the p = 2 boundary 2r == p^K among them
+    coeffs = MahlerCoeffs(p, K, tuple(range(p**K)))
+    rows = cli._coefficient_rows(coeffs)
+    assert [row["signed"] for row in rows] == [coeffs.signed(m) for m in range(p**K)]
+    if p == 2:
+        assert rows[2 ** (K - 1)]["signed"] == 2 ** (K - 1)
+    coeffs = mahler_coeffs(parse_map("sigma(x^2+x+1)"), p, 40, K)
+    assert [row["signed"] for row in cli._coefficient_rows(coeffs)] == list(map(coeffs.signed, range(41)))
+
+
+def test_coefficient_lines_are_the_format_spec_lines():
+    pairs = [(0, 0), (3, -2), (9999, 5), (10**4, -7), (123456, 10**24), (5, -(10**24)), (7, 10**30 + 1)]
+    rows = [{"m": m, "residue": 0, "signed": s, "valuation": "Exact(0)"} for m, s in pairs]
+    report = {
+        "config": {"subcommand": "mahler", "p": 2, "K": 120},
+        "coefficients": rows, "verdicts": {}, "census": [], "cycles": [], "plotset": None, "timing": None,
+    }
+    lines = render_report(report).splitlines()
+    assert lines[3:] == [f"  a_{row['m']:<4d} = {row['signed']:<24d} [{row['valuation']}]" for row in rows]
 
 
 def test_render_report_rejects_unknown_format():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -539,3 +540,17 @@ def test_verdict_stability():
     for M in (12, 24, 48):
         verdict = check_cs_mp(coeffs_of("x", 2, M=M), 1)
         assert verdict.kind == "violated_at" and verdict.m == 2
+
+
+def test_verdict_to_json_is_asdict():
+    # the fields in order, as a fresh dict of the same scalars
+    verdicts = [
+        check_lipschitz_ergodic(coeffs_of("3*x+1", 2, M=8)),
+        check_cs_mp(coeffs_of("sigma(x)", 2, M=16), 1),
+        check_cs_mp(coeffs_of("sigma(x)", 2, M=1), 1),
+    ]
+    for verdict in verdicts:
+        data = verdict.to_json()
+        assert list(data.items()) == list(dataclasses.asdict(verdict).items())
+        data["kind"] = "changed"
+        assert verdict.to_json()["kind"] != "changed"

@@ -23,6 +23,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
+from ._record import Record
 from .errors import AutomatonFormatError, UnboundedLookaheadError
 from .padic import is_prime
 
@@ -74,8 +75,7 @@ class Automaton:
         return all(len(w) == 1 for w in self.outputs.values())
 
 
-@dataclass(frozen=True)
-class RunTrace:
+class RunTrace(Record):
     """Observable record of one deterministic run."""
 
     states: tuple[str, ...]
@@ -83,8 +83,7 @@ class RunTrace:
     consumed: int
 
 
-@dataclass(frozen=True)
-class NondegeneracyVerdict:
+class NondegeneracyVerdict(Record):
     nondegenerate: bool
     witness: str | None = None
 

@@ -14,11 +14,11 @@ rasters are plain PGM (P2) with 1 = covered and row 0 at the top.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import KW_ONLY, InitVar, dataclass
 from fractions import Fraction
 from math import gcd
 from typing import TextIO
 
+from ._record import Record
 from .errors import BudgetError
 from .mapdsl import DEFAULT_BUDGET, MapExpr, _evaluator, tabulate
 
@@ -41,8 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ReducedLevelMap:
+class ReducedLevelMap(Record):
     """A finite reduction of the map: the full table of a function from
     Z/p**domain_digits to Z/p**codomain_digits.  ``check_range=False``
     skips the scan of the values, for a table reduced by construction."""
@@ -51,10 +50,8 @@ class ReducedLevelMap:
     domain_digits: int
     codomain_digits: int
     table: tuple[int, ...]
-    _: KW_ONLY
-    check_range: InitVar[bool] = True
 
-    def __post_init__(self, check_range: bool) -> None:
+    def __post_init__(self, check_range: bool = True) -> None:
         if len(self.table) != self.p ** self.domain_digits:
             raise ValueError("table length does not match the domain size")
         limit = self.p ** self.codomain_digits
@@ -120,8 +117,7 @@ def padded_endomap(e: MapExpr, p: int, m: int, budget: int | None = None) -> Red
     return reduced_map(e, p, m, m, budget)
 
 
-@dataclass(frozen=True)
-class CensusResult:
+class CensusResult(Record):
     """Preimage counts of every codomain point, plus the uniformity verdict."""
 
     expected: int
@@ -170,8 +166,7 @@ def preimage_census(m: ReducedLevelMap) -> CensusResult:
     return CensusResult(expected, tuple(counts), witness_point, witness_pair)
 
 
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(Record):
     """Full functional-graph decomposition of an endomap table."""
 
     cycles: tuple[tuple[int, ...], ...]
@@ -222,8 +217,7 @@ def cycle_report(m: ReducedLevelMap) -> CycleReport:
     return CycleReport(tuple(cycles), dict(sorted(Counter(dist).items())))
 
 
-@dataclass(frozen=True)
-class OrbitResult:
+class OrbitResult(Record):
     points: tuple[int, ...]
     cycle_start: int | None = None  # index of first point that repeats
     cycle_length: int | None = None
@@ -257,8 +251,7 @@ def orbit(
     return OrbitResult(tuple(points), cycle_start, cycle_length)
 
 
-@dataclass(frozen=True)
-class PlotSet:
+class PlotSet(Record):
     """The unit-square plot of the levels ``k_values`` (kept sorted) of table m:
     level k is the pairs (x, m.table[x] mod p**k), x < p**(n+k), for the
     points (x / p**(n+k), y / p**k).  The point sets are views built on access."""
@@ -303,8 +296,7 @@ def accumulate_plot(
     return PlotSet(reduced_map(e, p, n + k_max, k_max, budget), n, range(1, k_max + 1))
 
 
-@dataclass(frozen=True)
-class BoxCount:
+class BoxCount(Record):
     """``cells[j * grid + i]`` is 1 iff cell (i, j) holds one of the ``points`` points."""
 
     grid: int

@@ -15,6 +15,7 @@ from functools import cached_property
 from itertools import accumulate, compress
 from operator import mul
 
+from ._record import Record
 from .mapdsl import _OPS_PER_ENTRY, MapExpr, _check_budget, binomial_degree, tabulate
 from .padic import Valuation, _count_factors, binomial_eval
 
@@ -36,8 +37,7 @@ _DIVIDES = "a_{} = 0 (mod p^{})".format  # the clause p**req | a_m, as condition
 _SUFFICIENT = "sufficient condition only"
 
 
-@dataclass(frozen=True)
-class MahlerCoeffs:
+class MahlerCoeffs(Record):
     """Coefficients a_0..a_M of a map in the binomial basis, mod p**K.
 
     ``degree_bound`` is set when the map is a polynomial of known degree,
@@ -175,8 +175,8 @@ def mahler_coeffs(
     row = tabulate(e, p, max_index + 1, precision, budget)
     degree = binomial_degree(e)
     last = max_index if degree is None else min(degree, max_index)
-    why = f"the Mahler transform at K = {precision} digits"
-    _check_budget(last + 1, budget, _transform_cost(last + 1, p ** precision), why)
+    cost = _transform_cost(last + 1, p ** precision)
+    _check_budget(last + 1, budget, cost, lambda: f"the Mahler transform at K = {precision} digits")
     coeffs = _differences(row[: last + 1], p ** precision) + [0] * (max_index - last)
     return MahlerCoeffs(p, precision, tuple(coeffs), degree)
 

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from math import comb
 from pathlib import Path
 
 from . import automata
+from ._record import Record
 from .errors import AutomatonFormatError, BudgetError, DegenerateAutomatonError
 from .errors import MapSyntaxError, PrecisionError
 from .padic import PadicApprox, _count_factors, is_prime
@@ -76,65 +76,54 @@ MAX_DEPTH = 200
 # --- abstract syntax ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(Record):
     value: int
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(Record):
     operand: "MapExpr"
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(Record):
     left: "MapExpr"
     right: "MapExpr"
 
 
-@dataclass(frozen=True)
-class Sub:
+class Sub(Record):
     left: "MapExpr"
     right: "MapExpr"
 
 
-@dataclass(frozen=True)
-class Mul:
+class Mul(Record):
     left: "MapExpr"
     right: "MapExpr"
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(Record):
     base: "MapExpr"
     exponent: int
 
 
-@dataclass(frozen=True)
-class Sigma:
+class Sigma(Record):
     shifts: int
     operand: "MapExpr"
 
 
-@dataclass(frozen=True)
-class Binom:
+class Binom(Record):
     operand: "MapExpr"
     lower: int
 
 
-@dataclass(frozen=True)
-class MahlerLit:
+class MahlerLit(Record):
     coeffs: tuple[int, ...]
     operand: "MapExpr"
 
 
-@dataclass(frozen=True)
-class AutoApply:
+class AutoApply(Record):
     path: str
     automaton: automata.Automaton
     deficit: int
@@ -599,11 +588,11 @@ def _transducer(
     return transduce, q.bit_length()
 
 
-def _check_budget(entries: int, budget: int | None, cost: int = 1, why: str = "") -> None:
-    """Charge ``entries`` points of ``cost`` entries of work each to the budget."""
+def _check_budget(entries: int, budget: int | None, cost: int = 1, why: Callable[[], str] = str) -> None:
+    """Charge ``entries`` points of ``cost`` entries of work each; ``why()`` names them, on error."""
     limit = DEFAULT_BUDGET if budget is None else budget
     if entries * cost > limit:
-        work = f" at {cost} entries of work each ({why})" if cost > 1 else ""
+        work = f" at {cost} entries of work each ({why()})" if cost > 1 else ""
         raise BudgetError(f"enumeration of {entries} entries{work} exceeds budget {limit}")
 
 
@@ -629,11 +618,9 @@ def _evaluator(
             return [v % q for v in unreduced(xs)]
 
     ops = sum(c for c, _ in costs)
-    cost, why = 1 + ops // _OPS_PER_ENTRY, ""
-    if cost > 1:
-        most, node = max(costs, key=lambda c: c[0])
-        why = f"{ops} operations per point, {most} of them in {to_text(node)}"
-    _check_budget(entries, budget, cost, why)
+    most, node = max(costs, key=lambda c: c[0], default=(0, e))
+    why = lambda: f"{ops} operations per point, {most} of them in {to_text(node)}"
+    _check_budget(entries, budget, 1 + ops // _OPS_PER_ENTRY, why)
     return column
 
 
@@ -691,8 +678,7 @@ def step_order(table, p: int) -> int:
 # --- complex-shift decomposition ----------------------------------------
 
 
-@dataclass(frozen=True)
-class ComplexShiftDecomposition:
+class ComplexShiftDecomposition(Record):
     """Split f(x) = G_z(t) + T(x) at level n, checked to a finite depth.
 
     ``t_table[z]`` is the step-function value on the coset of z mod p**n;
@@ -744,12 +730,4 @@ def decompose_complex_shift(
         ),
         None,
     )
-    return ComplexShiftDecomposition(
-        p=p,
-        n=n,
-        depth=depth,
-        t_table=t_table,
-        f_table=f_table,
-        verified=witness is None,
-        witness=witness,
-    )
+    return ComplexShiftDecomposition(p, n, depth, t_table, f_table, witness is None, witness)

@@ -11,7 +11,7 @@ test every entry point applies to p.  Nothing here ever rounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from ._record import Record
 
 __all__ = [
     "PadicApprox",
@@ -37,8 +37,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(Record):
     """Power of p dividing a value: exactly ``value``, or at least ``value``.
 
     ``at_least(K)`` is produced when the residue vanishes at working
@@ -83,8 +82,7 @@ def _count_factors(n: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class PadicApprox:
+class PadicApprox(Record):
     """A p-adic integer known to ``precision`` base-p digits.
 
     Invariants: p is prime, precision >= 1, 0 <= residue < p**precision.

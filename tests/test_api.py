@@ -1,4 +1,5 @@
 """The public surface: every exported name resolves, and removed API stays gone."""
+import dataclasses
 import importlib
 
 import padyn
@@ -29,3 +30,19 @@ def test_removed_api_stays_gone():
     assert padyn.padic.__all__ == [
         "PadicApprox", "Valuation", "binomial_eval", "is_prime", "residue_valuation",
     ]
+
+
+def test_only_verdict_and_automaton_are_dataclasses():
+    """A dataclass generates and execs its methods when its module is imported, about a
+    millisecond per class; the frozen value classes share ``padyn._record.Record`` instead."""
+    found = set()
+    for layer in LAYERS:
+        module = importlib.import_module(f"padyn.{layer}")
+        found |= {
+            name for name in module.__all__
+            if isinstance(getattr(module, name), type) and dataclasses.is_dataclass(getattr(module, name))
+        }
+    assert found == {"Verdict", "Automaton"}, (
+        f"new dataclasses {sorted(found - {'Verdict', 'Automaton'})}: derive a new frozen value "
+        "class from padyn._record.Record, which costs no code generation at import"
+    )

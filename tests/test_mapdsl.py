@@ -3,6 +3,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import SHIFT1_FILE
 
+from padyn import mapdsl
 from padyn.automata import parse_automaton
 from padyn.errors import (
     AutomatonFormatError,
@@ -258,6 +259,19 @@ def test_tabulate_budget():
     with pytest.raises(BudgetError):
         tabulate(parse_map("x"), 2, 2**8, 8, budget=100)
     assert len(tabulate(parse_map("x"), 2, 100, 8, budget=100)) == 100
+
+
+def test_budget_message_is_rendered_only_when_the_budget_trips(monkeypatch):
+    # C(x,40) costs 2 entries per point, so its budget message names a node; printing
+    # the node walks its tree, which a call that fits the budget must not pay for
+    rendered = []
+    monkeypatch.setattr(mapdsl, "to_text", lambda e: rendered.append(e) or to_text(e))
+    assert len(tabulate(parse_map("C(x,40)"), 2, 256, 14)) == 256
+    assert rendered == []
+    with pytest.raises(BudgetError, match=r"2 entries of work each \(41 operations per point, "
+                       r"41 of them in C\(x, 40\)\) exceeds budget 256$"):
+        tabulate(parse_map("C(x,40)"), 2, 256, 14, budget=256)
+    assert rendered == [Binom(Var(), 40)]
 
 
 def test_polynomial_tables_are_one_lipschitz(corpus_texts):

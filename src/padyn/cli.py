@@ -124,7 +124,14 @@ def _get_expr(args):
     return AutoApply.checked(args.file, machine, Var())
 
 
+def _printable(values, what: str) -> None:
+    """A report's integers print in decimal: one past the digits str() converts is exit 3."""
+    if (limit := sys.get_int_max_str_digits()) and (top := max(values)) >= 10**limit:
+        raise BudgetError(f"{what} reach {top.bit_length()} bits, past the {limit} digits a report prints")
+
+
 def _coefficient_rows(coeffs: mahler.MahlerCoeffs) -> list[dict]:
+    _printable(coeffs.residues, "Mahler coefficients mod p^K")
     # equal valuations are one shared object, so each text is made once, keyed by identity;
     # "signed" is MahlerCoeffs.signed(m), the balanced representative, inline
     text = {id(v): str(v) for v in {id(v): v for v in coeffs.valuations}.values()}
@@ -257,6 +264,7 @@ def _dispatch(args, budget) -> dict:
 
     if args.subcommand == "orbit":
         result = dynamics.orbit(expr, args.p, args.x0, args.steps, args.m, budget)
+        _printable(result.points, "orbit points mod p^m")
         report["cycles"].append(
             {
                 "kind": "orbit",

@@ -16,12 +16,12 @@ minus on factors; exponents and binomial lower indices stay unsigned.
 
 Evaluation works on integers: the input is lifted to its unique
 zero-padded integer representative, and the result is the exact integer
-value there, reduced to the precision the lookahead bound certifies.  One
-column evaluator computes it for a block of lifts at a time: a map is
-built once into one function per node, and each node reads its operand
-only mod the power of p its own certified digits need (digit shifts are
-floor divisions, binomials exact ones, automata keep the output digits
-their input certifies).  Its work per point is charged to the budget.
+value there, reduced to the precision the lookahead bound certifies.  A
+map is flattened once into a post-order program that every analysis loops
+over; the column evaluator runs it on a block of lifts at a time, each node
+reading its operands only mod the power of p its own certified digits need
+(digit shifts are floor divisions, binomials exact ones, automata keep the
+output digits their input certifies).  Its work per point is charged to the budget.
 """
 from __future__ import annotations
 
@@ -67,9 +67,9 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 1 << 22  # max table entries for any single enumeration
-# The most brackets a map nests, and the most operators on a path of its tree.  The parser
-# spends four stack frames per bracket and the printer two per operator, so at 200 every
-# walker stays under Python's default recursion limit of 1000 with about 180 frames to spare.
+# The most brackets a map nests.  The parser spends four stack frames per bracket, so at 200
+# it stays under Python's default recursion limit of 1000 with about 180 frames to spare.
+# Nothing else recurses: every walk of a map is a loop over its program.
 MAX_DEPTH = 200
 
 
@@ -196,22 +196,6 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.nesting = 0  # brackets open at the cursor
-        self.depths = {}  # id(node) -> operators on its longest path down; every node stays alive
-
-    @property
-    def last(self) -> int:
-        """The position of the token just consumed."""
-        return self.tokens[self.pos - 1][2]
-
-    def node(self, at: int, make, *fields) -> MapExpr:
-        """make(*fields), an operator over the nodes among ``fields``; a tree more than
-        MAX_DEPTH operators deep is a MapSyntaxError at ``at``."""
-        depth = 1 + max(self.depths.get(id(f), 0) for f in fields)
-        if depth > MAX_DEPTH:
-            raise MapSyntaxError(f"more than {MAX_DEPTH} nested operators", position=at)
-        e = make(*fields)
-        self.depths[id(e)] = depth
-        return e
 
     def accept(self, symbols: str) -> str | None:
         """The next token if it is one of ``symbols``, consumed; else None."""
@@ -231,10 +215,11 @@ class _Parser:
 
     def group(self, close: str = ")") -> MapExpr:
         """'(' expr close, inside at most MAX_DEPTH brackets."""
+        at = self.tokens[self.pos][2]
         self.expect("sym", "(")
         self.nesting += 1
         if self.nesting > MAX_DEPTH:
-            raise MapSyntaxError(f"more than {MAX_DEPTH} nested brackets", position=self.last)
+            raise MapSyntaxError(f"more than {MAX_DEPTH} nested brackets", position=at)
         e = self.expr()
         self.nesting -= 1
         self.expect("sym", close)
@@ -250,26 +235,26 @@ class _Parser:
     def expr(self) -> MapExpr:
         """term (('+' | '-') term)*.  Each term, factor ('*' factor)*, is read here, not by a
         method of its own, so a bracket level costs four stack frames: expr, factor, atom, group."""
-        e, op, at = None, "+", 0
+        e, op = None, "+"
         while op:
             term = self.factor()
-            while self.accept("*"):  # the arguments are read in order: self.last is the '*'
-                term = self.node(self.last, Mul, term, self.factor())
-            e = term if e is None else self.node(at, Add if op == "+" else Sub, e, term)
-            op, at = self.accept("+-"), self.last
+            while self.accept("*"):
+                term = Mul(term, self.factor())
+            e = term if e is None else (Add if op == "+" else Sub)(e, term)
+            op = self.accept("+-")
         return e
 
     def factor(self) -> MapExpr:
         """'-'* atom ('^' uint)?: the signs are counted in a loop, so a run of them is no
         deeper on the stack than one."""
-        signs = []
+        signs = 0
         while self.accept("-"):
-            signs.append(self.last)
+            signs += 1
         e = self.atom()
         if self.accept("^"):
-            e = self.node(self.last, Pow, e, self.expect("int"))
-        for at in reversed(signs):
-            e = self.node(at, Neg, e)
+            e = Pow(e, self.expect("int"))
+        for _ in range(signs):
+            e = Neg(e)
         return e
 
     def atom(self) -> MapExpr:
@@ -285,28 +270,26 @@ class _Parser:
             return Var()
         if value == "sigma":
             shifts = self.expect("int") if self.accept("^") else 1
-            return self.node(at, Sigma, shifts, self.group())
+            return Sigma(shifts, self.group())
         if value == "C":
-            e = self.group(",")
-            lower = self.expect("int")
+            e, lower = self.group(","), self.expect("int")
             self.expect("sym", ")")
-            return self.node(at, Binom, e, lower)
+            return Binom(e, lower)
         if value == "mahler":
             self.expect("sym", "[")
             coeffs = []
             while not coeffs or self.accept(","):
                 coeffs.append(-self.expect("int") if self.accept("-") else self.expect("int"))
             self.expect("sym", "]")
-            return self.node(at, MahlerLit, tuple(coeffs), self.group())
+            return MahlerLit(tuple(coeffs), self.group())
         if value == "auto":
             self.expect("sym", "(")
             pat = self.tokens[self.pos][2]
             path = self.expect("str")
             self.expect("sym", ")")
-            e = self.group()
-            machine = _load_automaton(path)
+            e, machine = self.group(), _load_automaton(path)
             try:
-                return self.node(at, AutoApply.checked, path, machine, e)
+                return AutoApply.checked(path, machine, e)
             except DegenerateAutomatonError as exc:
                 raise MapSyntaxError(str(exc), position=pat) from None
         raise MapSyntaxError(f"unknown identifier {value!r}", position=at)
@@ -327,46 +310,63 @@ def parse_map(text: str) -> MapExpr:
     return _Parser(text).parse()
 
 
+# --- programs ----------------------------------------------------------
+
+
+def _program(e: MapExpr) -> list[tuple[MapExpr, tuple[int, ...]]]:
+    """e in post order, without recursion: (node, indices of its operands) per node, e
+    last.  A node's operands are its fields that are map nodes, in field order."""
+    if not isinstance(e, MapExpr):
+        raise TypeError(f"not a map expression: {e!r}")
+    program, unread, todo = [], [], [(e, None)]  # unread: indices no reader has taken yet
+    while todo:
+        node, arity = todo.pop()
+        if arity is None:
+            operands = [v for v in node._values(node) if isinstance(v, MapExpr)]
+            todo += [(node, len(operands)), *((v, None) for v in reversed(operands))]
+        else:  # its operands are the last ``arity`` unread instructions
+            program.append((node, tuple(unread[len(unread) - arity :])))
+            unread[len(unread) - arity :] = [len(program) - 1]
+    return program
+
+
+def _fold(program: list, rule: Callable):
+    """rule(node, its operands' results) over a program, in order: the last result.
+    A result is dropped once it is read."""
+    results = {}
+    for i, (node, args) in enumerate(program):
+        results[i] = rule(node, [results.pop(j) for j in args])
+    return results[i]
+
+
 # --- pretty printer ----------------------------------------------------
 
 _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_ATOM = 1, 2, 3, 4
-_INFIX = {Add: (" + ", _PREC_ADD), Sub: (" - ", _PREC_ADD), Mul: ("*", _PREC_MUL)}
+# node type -> (the least precedence of each unbracketed operand, its own, its text)
+_TEXT = {
+    Const: ((), _PREC_ATOM, lambda e: str(e.value)),
+    Var: ((), _PREC_ATOM, lambda e: "x"),
+    Neg: ((_PREC_UNARY,), _PREC_UNARY, lambda e, v: f"-{v}"),
+    Add: ((_PREC_ADD, _PREC_ADD + 1), _PREC_ADD, lambda e, a, b: f"{a} + {b}"),
+    Sub: ((_PREC_ADD, _PREC_ADD + 1), _PREC_ADD, lambda e, a, b: f"{a} - {b}"),
+    Mul: ((_PREC_MUL, _PREC_MUL + 1), _PREC_MUL, lambda e, a, b: f"{a}*{b}"),
+    Pow: ((_PREC_ATOM,), _PREC_UNARY, lambda e, v: f"{v}^{e.exponent}"),
+    Sigma: ((0,), _PREC_ATOM, lambda e, v: f"sigma({v})" if e.shifts == 1 else f"sigma^{e.shifts}({v})"),
+    Binom: ((0,), _PREC_ATOM, lambda e, v: f"C({v}, {e.lower})"),
+    MahlerLit: ((0,), _PREC_ATOM, lambda e, v: f"mahler[{','.join(str(c) for c in e.coeffs)}]({v})"),
+    AutoApply: ((0,), _PREC_ATOM, lambda e, v: f'auto("{e.path}")({v})'),
+}
 
 
-def _render(e: MapExpr) -> tuple[str, int]:
-    if isinstance(e, Const):
-        return str(e.value), _PREC_ATOM
-    if isinstance(e, Var):
-        return "x", _PREC_ATOM
-    if isinstance(e, Neg):
-        return f"-{_wrap(e.operand, _PREC_UNARY)}", _PREC_UNARY
-    if isinstance(e, (Add, Sub, Mul)):
-        op, prec = _INFIX[type(e)]
-        return f"{_wrap(e.left, prec)}{op}{_wrap(e.right, prec + 1)}", prec
-    if isinstance(e, Pow):
-        return f"{_wrap(e.base, _PREC_ATOM)}^{e.exponent}", _PREC_UNARY
-    if isinstance(e, (Sigma, Binom, MahlerLit, AutoApply)):
-        inner, _ = _render(e.operand)
-        if isinstance(e, Binom):
-            return f"C({inner}, {e.lower})", _PREC_ATOM
-        if isinstance(e, Sigma):
-            head = "sigma" if e.shifts == 1 else f"sigma^{e.shifts}"
-        elif isinstance(e, MahlerLit):
-            head = f"mahler[{','.join(str(c) for c in e.coeffs)}]"
-        else:
-            head = f'auto("{e.path}")'
-        return f"{head}({inner})", _PREC_ATOM
-    raise TypeError(f"not a map expression: {e!r}")
-
-
-def _wrap(e: MapExpr, min_prec: int) -> str:
-    text, prec = _render(e)
-    return text if prec >= min_prec else f"({text})"
+def _render(e: MapExpr, operands: list[tuple[str, int]]) -> tuple[str, int]:
+    """The text of e and its precedence, from those of its operands."""
+    least, prec, text = _TEXT[type(e)]
+    return text(e, *(t if own >= need else f"({t})" for (t, own), need in zip(operands, least))), prec
 
 
 def to_text(e: MapExpr) -> str:
     """Render an expression so that re-parsing reproduces the same tree."""
-    return _render(e)[0]
+    return _fold(_program(e), _render)[0]
 
 
 # --- lookahead analysis ------------------------------------------------
@@ -405,15 +405,7 @@ def lookahead_bound(e: MapExpr, p: int) -> int:
     """A certified bound L: inputs equal mod p**(k+L) give outputs equal
     mod p**k.  Polynomial expressions get 0; digit shifts and binomial
     denominators consume digits."""
-    if isinstance(e, (Const, Var)):
-        return 0
-    if isinstance(e, (Add, Sub, Mul)):
-        return max(lookahead_bound(e.left, p), lookahead_bound(e.right, p))
-    if isinstance(e, Pow):
-        return lookahead_bound(e.base, p)
-    if isinstance(e, (Neg, Sigma, Binom, MahlerLit, AutoApply)):
-        return lookahead_bound(e.operand, p) + _consumed(e, p)
-    raise TypeError(f"not a map expression: {e!r}")
+    return _fold(_program(e), lambda node, bounds: max(bounds, default=0) + _consumed(node, p))
 
 
 def binomial_degree(e: MapExpr) -> int | None:
@@ -422,24 +414,17 @@ def binomial_degree(e: MapExpr) -> int | None:
     A polynomial of degree d has zero Mahler coefficients beyond index d,
     which lets theorem checkers report a total verdict.
     """
-    if isinstance(e, Const):
-        return 0
-    if isinstance(e, Var):
-        return 1
-    if isinstance(e, Neg):
-        return binomial_degree(e.operand)
-    if isinstance(e, (Add, Sub, Mul)):
-        l, r = binomial_degree(e.left), binomial_degree(e.right)
-        if l is None or r is None:
+
+    def degree(node: MapExpr, degrees: list[int | None]) -> int | None:
+        if None in degrees or isinstance(node, (Sigma, AutoApply)):
             return None
-        return l + r if isinstance(e, Mul) else max(l, r)
-    if isinstance(e, Pow):
-        d = binomial_degree(e.base)
-        return None if d is None else d * e.exponent
-    if isinstance(e, (Binom, MahlerLit)):
-        d = binomial_degree(e.operand)
-        return None if d is None else d * _series_top(e)
-    return None
+        if isinstance(node, Mul):
+            return sum(degrees)
+        if isinstance(node, (Pow, Binom, MahlerLit)):
+            return degrees[0] * (node.exponent if isinstance(node, Pow) else _series_top(node))
+        return max(degrees, default=int(isinstance(node, Var)))  # Neg, Add, Sub; Const 0, Var 1
+
+    return _fold(_program(e), degree)
 
 
 # --- evaluation --------------------------------------------------------
@@ -472,54 +457,68 @@ def _reduced_exponent(exponent: int, p: int, digits: int) -> int:
     return exponent if exponent < digits + phi else digits + (exponent - digits) % phi
 
 
-def _build(e: MapExpr, p: int, digits: int, lift_bits: int, costs: list) -> tuple[Column, int]:
-    """The column function of e, certifying ``digits`` digits, and a bound on the
-    bit length of its values, for lifts of at most ``lift_bits`` bits.  Appends
-    (operations per point, node) to ``costs`` for every node that does work."""
+def _step(
+    e: MapExpr, p: int, digits: int, operand_bits: list[int], lift_bits: int, costs: list
+) -> tuple[Callable, int]:
+    """Node e's instruction certifying ``digits`` digits, a function of the lifts and its
+    operands' columns, and its values' bit bound from theirs.  Appends (operations per
+    point, e) to ``costs`` if e does work."""
     q = p ** digits
     if isinstance(e, Const):
         value = e.value % q
         return (lambda xs: [value] * len(xs)), value.bit_length()
     if isinstance(e, Var):
         return (lambda xs: xs), lift_bits
-    if isinstance(e, Neg):
-        f, bits = _build(e.operand, p, digits, lift_bits, costs)
+    if isinstance(e, (Neg, Add, Sub)):  # a sum is a bit wider than its terms
+        bits = max(operand_bits)
         costs.append((_units(bits), e))
-        return (lambda xs: list(map(operator.neg, f(xs)))), bits
-    if isinstance(e, (Add, Sub, Mul)):
-        lf, lbits = _build(e.left, p, digits, lift_bits, costs)
-        rf, rbits = _build(e.right, p, digits, lift_bits, costs)
-        if not isinstance(e, Mul):
-            costs.append((_units(max(lbits, rbits)), e))
-            op = operator.add if isinstance(e, Add) else operator.sub
-            return (lambda xs: list(map(op, lf(xs), rf(xs)))), max(lbits, rbits) + 1
+        op = {Neg: operator.neg, Add: operator.add, Sub: operator.sub}[type(e)]
+        return (lambda xs, *cols: list(map(op, *cols))), bits + len(operand_bits) - 1
+    if isinstance(e, Mul):
+        lbits, rbits = operand_bits
         costs.append((_units(lbits) * _units(rbits), e))
         if lbits + rbits <= q.bit_length() + _SLACK_BITS:
-            return (lambda xs: list(map(operator.mul, lf(xs), rf(xs)))), lbits + rbits
-        return (lambda xs: [a * b % q for a, b in zip(lf(xs), rf(xs))]), q.bit_length()
+            return (lambda xs, a, b: list(map(operator.mul, a, b))), lbits + rbits
+        return (lambda xs, a, b: [u * v % q for u, v in zip(a, b)]), q.bit_length()
+    (bits,) = operand_bits
     if isinstance(e, Pow):
         exponent = _reduced_exponent(e.exponent, p, digits)
-        f, bits = _build(e.base, p, digits, lift_bits, costs)
         costs.append((max(1, exponent.bit_length()) * _units(min(bits * exponent, q.bit_length())) ** 2, e))
         if bits * exponent <= q.bit_length() + _SLACK_BITS:
-            return (lambda xs: list(map(pow, f(xs), repeat(exponent)))), max(1, bits * exponent)
-        return (lambda xs: list(map(pow, f(xs), repeat(exponent), repeat(q)))), q.bit_length()
-    if isinstance(e, (Sigma, Binom, MahlerLit, AutoApply)):
-        operand_digits = digits + _consumed(e, p)
-        f, bits = _build(e.operand, p, operand_digits, lift_bits, costs)
-        if isinstance(e, Sigma):
-            costs.append((_units(bits), e))
-            wide, divisor = p**operand_digits, p**e.shifts
-            return (lambda xs: [v % wide // divisor for v in f(xs)]), q.bit_length()
-        node = _transducer if isinstance(e, AutoApply) else _series
-        return node(e, p, digits, operand_digits, f, bits, costs)
-    raise TypeError(f"not a map expression: {e!r}")
+            return (lambda xs, v: list(map(pow, v, repeat(exponent)))), max(1, bits * exponent)
+        return (lambda xs, v: list(map(pow, v, repeat(exponent), repeat(q)))), q.bit_length()
+    operand_digits = digits + _consumed(e, p)
+    if isinstance(e, Sigma):
+        costs.append((_units(bits), e))
+        wide, divisor = p**operand_digits, p**e.shifts
+        return (lambda xs, v: [u % wide // divisor for u in v]), q.bit_length()
+    return (_transducer if isinstance(e, AutoApply) else _series)(e, p, digits, operand_digits, bits, costs)
+
+
+def _compile(e: MapExpr, p: int, digits: int, lift_bits: int, costs: list) -> tuple[list, int]:
+    """e's (instruction, operand indices) for ``_fold``, and its values' bit bound, for lifts
+    of at most ``lift_bits`` bits.  Appends (operations per point, node) to ``costs`` for
+    each node that does work, operands first.  Values past MAX_DIGITS digits are refused."""
+    program = _program(e)
+    need = [digits] * len(program)  # digits each node certifies: its reader's, plus what that consumes
+    for i in range(len(program) - 1, -1, -1):
+        node, args = program[i]
+        for j in args:
+            need[j] = need[i] + _consumed(node, p)
+    if max(need) > MAX_DIGITS:
+        raise BudgetError(f"{to_text(e)} needs values of {max(need)} digits; the limit is {MAX_DIGITS}")
+    steps, bits = [], []
+    for (node, args), d in zip(program, need):
+        step, b = _step(node, p, d, [bits[j] for j in args], lift_bits, costs)
+        steps.append((step, args))
+        bits.append(b)
+    return steps, bits[-1]
 
 
 def _series(
-    e: Binom | MahlerLit, p: int, digits: int, operand_digits: int, f: Column, bits: int, costs: list
-) -> tuple[Column, int]:
-    """The sum of a_m C(v, m), v = f(xs) the operand, certified to ``operand_digits`` =
+    e: Binom | MahlerLit, p: int, digits: int, operand_digits: int, bits: int, costs: list
+) -> tuple[Callable, int]:
+    """The sum of a_m C(v, m), v the operand's column, certified to ``operand_digits`` =
     digits + v_p(top!) digits.  While v (v-1) ... (v-top+1) stays within _SLACK_BITS of
     p**operand_digits, each C(v, m) is an exact ``math.comb``.  Past that, with e_m = v_p(m!),
     the falling factorial v (v-1) ... (v-m+1) = m! C(v, m) is taken mod p**operand_digits and
@@ -539,8 +538,8 @@ def _series(
     width = min(top * (bits + 1), wide.bit_length() + _SLACK_BITS)
     costs.append(((top + len(scales)) * _units(width) * _units(bits), e))
 
-    def series(xs):
-        v = falling = f(xs)  # v (v-1) ... (v-t+1) at step t
+    def series(xs, v):
+        falling = v  # v (v-1) ... (v-t+1) at step t
         total = [constant] * len(v)
         for t in range(1, top + 1):
             if exact and t in scales:  # C(v, t) = (-1)^t C(t - 1 - v, t) for v < 0
@@ -561,8 +560,8 @@ def _series(
 
 
 def _transducer(
-    e: AutoApply, p: int, digits: int, operand_digits: int, f: Column, bits: int, costs: list
-) -> tuple[Column, int]:
+    e: AutoApply, p: int, digits: int, operand_digits: int, bits: int, costs: list
+) -> tuple[Callable, int]:
     """The machine's first ``digits`` output digits.  No run of k letters emits fewer than
     k - deficit, so the operand's first ``operand_digits`` = digits + deficit letters fix
     them; they are read c at a time through the chunk tables, and letters past those only
@@ -574,8 +573,7 @@ def _transducer(
     chunk, q = p**c, p**digits
     costs.append((5 * steps * _units(max(bits, q.bit_length())), e))
 
-    def transduce(xs):
-        v = f(xs)  # its p-adic digits, also for a negative value: floor division
+    def transduce(xs, v):  # v's p-adic digits, also for a negative value: floor division
         state, value, scale = [0] * len(v), [0] * len(v), [1] * len(v)
         for _ in range(steps):
             at = [s + u % chunk for s, u in zip(state, v)]
@@ -593,7 +591,9 @@ def _check_budget(entries: int, budget: int | None, cost: int = 1, why: Callable
     limit = DEFAULT_BUDGET if budget is None else budget
     if entries * cost > limit:
         work = f" at {cost} entries of work each ({why()})" if cost > 1 else ""
-        raise BudgetError(f"enumeration of {entries} entries{work} exceeds budget {limit}")
+        # str() refuses 4300+ digits by default: a wider count goes by its bit length
+        count = entries if entries.bit_length() <= 2048 else f"at least 2^{entries.bit_length() - 1}"
+        raise BudgetError(f"enumeration of {count} entries{work} exceeds budget {limit}")
 
 
 def _evaluator(
@@ -605,23 +605,17 @@ def _evaluator(
     <= 128 bits, and at least one.  Values wider than MAX_DIGITS digits are refused."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    width = digits + lookahead_bound(e, p)
-    if width > MAX_DIGITS:
-        raise BudgetError(f"{to_text(e)} needs values of {width} digits; the limit is {MAX_DIGITS}")
     costs = []
-    column, bits = _build(e, p, digits, (lifts - 1).bit_length(), costs)
+    steps, bits = _compile(e, p, digits, (lifts - 1).bit_length(), costs)
     if not isinstance(e, (Sigma, Binom, MahlerLit, AutoApply)):  # may leave [0, p**digits)
         costs.append((_units(bits), e))
-        unreduced, q = column, p ** digits
-
-        def column(xs):
-            return [v % q for v in unreduced(xs)]
-
+        q = p**digits
+        steps.append(((lambda xs, v: [u % q for u in v]), (len(steps) - 1,)))
     ops = sum(c for c, _ in costs)
     most, node = max(costs, key=lambda c: c[0], default=(0, e))
     why = lambda: f"{ops} operations per point, {most} of them in {to_text(node)}"
     _check_budget(entries, budget, 1 + ops // _OPS_PER_ENTRY, why)
-    return column
+    return lambda xs: _fold(steps, lambda step, cols: step(xs, *cols))
 
 
 def eval_map(e: MapExpr, x: PadicApprox) -> PadicApprox:
@@ -660,19 +654,13 @@ def tabulate(
 def step_order(table, p: int) -> int:
     """Smallest L such that the table is constant on cosets mod p**L."""
     table = list(table)
-    size = len(table)
     depth = 0
-    span = 1
-    while span < size:
-        span *= p
+    while p**depth < len(table):
         depth += 1
-    if span != size:
-        raise ValueError(f"table length {size} is not a power of {p}")
-    for level in range(depth + 1):
-        period = p ** level
-        if all(table[i] == table[i % period] for i in range(size)):
-            return level
-    return depth
+    if p**depth != len(table):
+        raise ValueError(f"table length {len(table)} is not a power of {p}")
+    # constant on cosets mod p**L: the table is its first p**L entries repeated
+    return next(level for level in range(depth + 1) if table == table[: p**level] * p ** (depth - level))
 
 
 # --- complex-shift decomposition ----------------------------------------

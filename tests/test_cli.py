@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,11 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SHIFT1_FILE
+from test_kernel import EXPRESSIONS
 
 from padyn import cli, dynamics, mapdsl
 from padyn.cli import render_report, run_command
 from padyn.mahler import MahlerCoeffs, Verdict, mahler_coeffs
-from padyn.mapdsl import MAX_DEPTH, parse_map
+from padyn.mapdsl import MAX_DEPTH, parse_map, to_text
 
 
 REPORT_KEYS = {"config", "coefficients", "verdicts", "census", "cycles", "plotset", "timing"}
@@ -71,11 +75,9 @@ def _signs(n):
     "text, nested, position",
     [
         (_brackets(300), "brackets", MAX_DEPTH),  # the first '(' past the limit
-        (_sum(2000), "operators", 2 * MAX_DEPTH + 1),  # the '+' of one operator too many on a path
         (_sigmas(2000), "brackets", 6 * MAX_DEPTH + 5),  # the '(' of the first sigma past the limit
-        (_signs(2000), "operators", 2000 - MAX_DEPTH - 1),  # the sign one past the limit from x
     ],
-    ids=["brackets-300", "sum-2000", "sigma-2000", "signs-2000"],
+    ids=["brackets-300", "sigma-2000"],
 )
 def test_nesting_past_the_limit_exits_two_with_a_position(subcommand, text, nested, position, capsys):
     assert run_command([subcommand, "--kmax", "2", f"--map={text}"]) == (2, None)
@@ -86,10 +88,14 @@ def test_nesting_past_the_limit_exits_two_with_a_position(subcommand, text, nest
 @pytest.mark.parametrize("subcommand", ["mahler", "analyze"])
 @pytest.mark.parametrize(
     "text",
-    [_brackets(MAX_DEPTH), _sum(MAX_DEPTH + 1), _sigmas(MAX_DEPTH), _signs(MAX_DEPTH)],
-    ids=["brackets", "sum", "sigma", "signs"],
+    [
+        _brackets(MAX_DEPTH), _sum(MAX_DEPTH + 1), _sigmas(MAX_DEPTH), _signs(MAX_DEPTH),
+        _sum(2000), _signs(2000),
+    ],
+    ids=["brackets", "sum", "sigma", "signs", "sum-2000", "signs-2000"],
 )
 def test_nesting_at_the_limit_runs(subcommand, text):
+    # only brackets are limited: a long sum or a run of signs is as deep a tree, and runs
     assert run_command([subcommand, "--kmax", "2", "--mmax", "4", f"--map={text}"])[0] == 0
 
 
@@ -154,6 +160,41 @@ def test_analyze_budget_is_its_table_size(p, n, kmax, capsys):
     assert run_command(argv + [str(size)])[0] == 0
     assert run_command(argv + [str(size - 1)])[0] == 3
     assert f"enumeration of {size} entries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [sub, "--p", "2", "--kmax", "20000", "--map", "x"]
+        for sub in ("cycles", "preimages", "plotset", "analyze")
+    ]
+    + [["cycles", "--p", "3", "--kmax", "100000", "--map", "x"]],
+    ids=["cycles", "preimages", "plotset", "analyze", "cycles-p3"],
+)
+def test_tables_too_wide_to_count_in_decimal_exceed_the_budget(argv, capsys):
+    # p^kmax entries has more digits than str() converts; the message gives its bit length
+    assert run_command(argv) == (3, None)
+    err = capsys.readouterr().err
+    assert "int_max_str_digits" not in err and "integer string conversion" not in err
+    message = r"error: enumeration of at least 2\^\d+ entries (at .*)?exceeds budget 4194304\n"
+    assert re.fullmatch(message, err)
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["orbit", "--m", "20000", "--x0", "3", "--steps", "14", "--map", "x^2"], "orbit points"),
+        (["mahler", "--K", "20000", "--mmax", "4", "--map", "x^20000"], "Mahler coefficients"),
+    ],
+    ids=["orbit", "mahler"],
+)
+def test_reports_too_wide_to_print_exceed_the_budget(argv, what, capsys):
+    # 3^(2^14) mod 2^20000 and a_3 of x^20000 have more digits than str() converts;
+    # 13 steps of the orbit stop at 3^(2^13), which prints
+    assert run_command(argv) == (3, None)
+    assert capsys.readouterr().err.startswith(f"error: {what} mod p^")
+    if what == "orbit points":
+        assert run_command([arg if arg != "14" else "13" for arg in argv])[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -742,3 +783,62 @@ def test_map_from_automaton_file(tmp_path):
     )
     assert code == 0
     assert all(row["unique_cycle"] for row in report["cycles"])
+
+
+# --- fuzz ---------------------------------------------------------------------
+
+_COMMANDS = [
+    ["analyze"], ["mahler"], *(["check", which] for which in cli._CHECKS), ["preimages"],
+    ["cycles"], ["orbit"], ["plotset"], ["automaton", "run"], ["automaton", "check"],
+]
+
+
+@pytest.fixture(scope="module")
+def shift_files(tmp_path_factory):
+    """A one-letter shift machine per prime, for the automata in EXPRESSIONS and --file."""
+    folder = tmp_path_factory.mktemp("shifts")
+    files = {}
+    for p in (2, 3, 5):
+        rules = [f"q0 {d} -> q1 / -" for d in range(p)] + [f"q1 {d} -> q1 / {d}" for d in range(p)]
+        files[p] = folder / f"shift1-{p}.aut"
+        files[p].write_text("\n".join([f"p {p}", "states q0 q1", "initial q0", *rules, ""]))
+    return files
+
+
+@st.composite
+def _argv(draw, shift_files, out):
+    p = draw(st.sampled_from(sorted(EXPRESSIONS)))
+    command = draw(st.sampled_from(_COMMANDS))
+    maps = st.one_of(
+        EXPRESSIONS[p].map(lambda e: to_text(e).replace("<shift1>", str(shift_files[p]))),
+        st.integers(1, 3000).map(_sum),
+        st.integers(1, 3000).map(_signs),
+        st.integers(1, 300).map(_brackets),
+    )
+    small, wide = st.integers(1, 3), st.integers(10000, 20000)
+    argv = [*command, "--p", str(p), "--n", str(draw(st.integers(1, 2)))]
+    argv += ["--kmax", str(draw(st.one_of(small, wide))), "--mmax", str(draw(st.integers(1, 16)))]
+    argv += ["--K", str(draw(st.integers(1, 16))), "--grid", str(draw(st.integers(1, 16)))]
+    if command[0] == "automaton":
+        argv += ["--file", str(shift_files[p]), "--word", draw(st.text("0123456789", max_size=6))]
+    else:
+        argv.append(f"--map={draw(maps)}")
+    if command[0] == "orbit":
+        argv += ["--m", str(draw(st.one_of(st.integers(1, 8), wide)))]
+        argv += ["--x0", str(draw(st.integers(0, 9))), "--steps", str(draw(st.integers(0, 12)))]
+    if draw(st.booleans()):
+        argv += ["--json", str(out / "report.json")]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_command_ends_with_a_report_or_a_padyn_error(shift_files, tmp_path_factory, data):
+    # any argv ends in exit 0, 2 or 3, with no exception escaping and no Python-internal
+    # error text: long sums, deep signs, 300 brackets and tables of 2^20000 entries included
+    argv = data.draw(_argv(shift_files, tmp_path_factory.getbasetemp()))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code, _ = run_command(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "int_max_str_digits" not in err.getvalue() and "Traceback" not in err.getvalue()

@@ -18,7 +18,8 @@ from conftest import CORPUS, make_shift_automaton
 from padyn import automata
 from padyn.errors import BudgetError, DegenerateAutomatonError, PrecisionError
 from padyn.mapdsl import (
-    _build,
+    _compile,
+    _fold,
     Add,
     AutoApply,
     Binom,
@@ -213,8 +214,9 @@ def test_high_powers_are_charged_what_low_powers_are():
     # and the charge is the work done: a power or product column stays within 64 bits
     # of 2^12, where the exact x^20000 would have 240,000 bits per point
     for text in ("x^20000", "x*x*x*x*x*x*x*x"):
-        column, bits = _build(parse_map(text), 2, 12, 12, [])
-        assert bits <= 13 + 64 and max(column(list(range(2**12)))).bit_length() <= bits
+        steps, bits = _compile(parse_map(text), 2, 12, 12, [])
+        column = _fold(steps, lambda step, operands: step(list(range(2**12)), *operands))
+        assert bits <= 13 + 64 and max(column).bit_length() <= bits
 
 
 def _atoms(p: int):

@@ -12,6 +12,7 @@ from padyn.errors import (
     MapSyntaxError,
     PrecisionError,
 )
+from padyn.mahler import mahler_coeffs
 from padyn.mapdsl import (
     Add,
     AutoApply,
@@ -19,9 +20,11 @@ from padyn.mapdsl import (
     Const,
     MahlerLit,
     Mul,
+    Neg,
     Pow,
     Sigma,
     Var,
+    binomial_degree,
     decompose_complex_shift,
     eval_map,
     lookahead_bound,
@@ -285,6 +288,47 @@ def test_polynomial_tables_are_one_lipschitz(corpus_texts):
             for b in range(a + 1, 32):
                 agree = ((a ^ b) & -(a ^ b)).bit_length() - 1  # lowest differing bit
                 assert (table[a] - table[b]) % (2**agree) == 0
+
+
+# --- deep trees ---------------------------------------------------------------
+
+
+def _chain(make, depth, leaf=Var()):
+    e = leaf
+    for _ in range(depth):
+        e = make(e)
+    return e
+
+
+@pytest.mark.parametrize(
+    "e, bound, degree, shape, slope",
+    [
+        (_chain(lambda e: Sigma(1, e), 2000), 2000, None, "sigma(" * 2000 + "x" + ")" * 2000, 0),
+        (_chain(lambda e: Add(e, Var()), 9999), 0, 1, " + ".join(["x"] * 10000), 10000),
+        (_chain(Neg, 2000), 0, 1, "-" * 2000 + "x", 1),
+    ],
+    ids=["sigma-2000", "sum-10000", "neg-2000"],
+)
+def test_deep_trees_are_analysed_and_evaluated_without_recursion(e, bound, degree, shape, slope):
+    # built through the API, so no parser limit applies; every walk is a loop over the
+    # map's program, so the default recursion limit of 1000 is no bound.  The sum is
+    # 10000 x, the signs an even count of negations, and sigma^2000 of an input below
+    # 3^2003 its digits past the 2000th
+    p, q = 3, 27
+    assert lookahead_bound(e, p) == bound
+    assert binomial_degree(e) == degree
+    text = to_text(e)
+    assert text == shape
+    if text.count("(") > mapdsl.MAX_DEPTH:  # the parser alone nests at most MAX_DEPTH brackets
+        at = 6 * mapdsl.MAX_DEPTH + 5  # the '(' of the first sigma past the limit
+        with pytest.raises(MapSyntaxError, match=rf"nested brackets \(at position {at}\)$"):
+            parse_map(text)
+    else:
+        assert to_text(parse_map(text)) == text  # not ==: Record.__eq__ recurses through the tree
+    assert tabulate(e, p, q, 3) == tuple(slope * i % q for i in range(q))
+    x = PadicApprox(p, bound + 3, 5 * p**bound)
+    assert eval_map(e, x).residue == (5 if bound else slope * 5 % q)
+    assert mahler_coeffs(e, p, 4, 3).residues == (0, slope % q, 0, 0, 0)
 
 
 # --- step order ---------------------------------------------------------------

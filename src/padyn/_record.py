@@ -1,5 +1,4 @@
 """``Record``: what ``@dataclass(frozen=True)`` gives a class, with no code generated per class."""
-from dataclasses import FrozenInstanceError
 from operator import attrgetter
 
 _set = object.__setattr__
@@ -45,19 +44,57 @@ class Record:
         pass
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values(self) == other._values(other)
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # pairs of nested records are compared in a loop, not by recursion: a map can be any depth
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            for x, y in zip(a._values(a), b._values(b)):
+                if x is not y and isinstance(x, Record) and x.__class__ is y.__class__:
+                    todo.append((x, y))
+                elif not (x is y or x == y):
+                    return False
+        return True
 
     def __hash__(self) -> int:
-        return hash(self._values(self))
+        # equal records have equal prefix forms: the same classes and values in the same order
+        return hash(tuple(_prefix(self)))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
-        return f"{type(self).__qualname__}({body})"
+        # a loop over a stack of texts and 1-tuples of values still to write, not a recursion
+        out, todo = [], [(self,)]
+        while todo:
+            item = todo.pop()
+            if item.__class__ is str:
+                out.append(item)
+            elif isinstance(r := item[0], Record):
+                names, values = r._fields, r._values(r)
+                out.append(f"{type(r).__qualname__}(")
+                todo.append(")")
+                for i in reversed(range(len(names))):
+                    todo += (values[i],), f"{', ' if i else ''}{names[i]}="
+            else:
+                out.append(repr(item[0]))
+        return "".join(out)
 
     def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError  # only to raise it: dataclasses imports inspect
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _prefix(record: Record):
+    """(True, class) for the record and each record in it, (False, value) for each other field
+    value, in prefix order.  A loop, not a recursion: a map tree can be any depth."""
+    todo = [record]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, Record):
+            yield True, type(v)
+            todo += reversed(v._values(v))
+        else:
+            yield False, v

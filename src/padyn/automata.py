@@ -21,7 +21,6 @@ digit per character, files are limited to p <= 7.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 from ._record import Record
 from .errors import AutomatonFormatError, UnboundedLookaheadError
@@ -40,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class Automaton:
+class Automaton(Record):
     """A letter-to-word transducer with input and output alphabet {0..p-1}."""
 
     p: int

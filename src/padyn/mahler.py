@@ -10,12 +10,13 @@ polynomial, in which case the verdict is total.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import sys
 from functools import cached_property
 from itertools import accumulate, compress
 from operator import mul
 
 from ._record import Record
+from .errors import BudgetError
 from .mapdsl import _OPS_PER_ENTRY, MapExpr, _check_budget, binomial_degree, tabulate
 from .padic import Valuation, _count_factors, binomial_eval
 
@@ -85,8 +86,7 @@ class MahlerCoeffs(Record):
         return self.degree_bound is not None and self.degree_bound <= self.max_index
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of a bounded theorem-condition check.
 
     kind is one of "satisfied_up_to", "violated_at", "undecidable_at".
@@ -152,7 +152,7 @@ class Verdict:
         return text
 
     def to_json(self) -> dict:
-        return dict(vars(self))  # asdict's dict without its deep copy: every field is a scalar
+        return dict(zip(self._fields, self._values(self)))
 
 
 def mahler_coeffs(
@@ -290,8 +290,9 @@ class _Scan:
         The verdict reports only the first violation, so the scan stops there."""
         if self.violation is not None:
             return
+        valuations = self.c.valuations  # read once: a cached_property leaves c slow to read
         for m, required in requirements:
-            v = self.c.valuations[m]
+            v = valuations[m]
             if required <= v.value:
                 continue
             if v.exact:
@@ -326,15 +327,21 @@ class _Scan:
     def verdict(self, total: bool = False, note: str = "") -> Verdict:
         found = self.violation or self.undecided
         if found is not None:
-            return replace(found, note=note)
+            return Verdict(*found._values(found)[:-1], note)  # note is the last field
         return Verdict.satisfied(self.c.max_index, total=total, note=note)
 
 
 def _block(p: int, n: int) -> int:
-    """p**n, the index the level-n checks read; n must be >= 1."""
+    """p**n, the index the level-n checks read; n must be >= 1, and p**n must have no more
+    decimal digits than a report prints, else a ``BudgetError``."""
     if n < 1:
         raise ValueError("complex-shift level must be >= 1")
-    return p ** n
+    limit = sys.get_int_max_str_digits()
+    # 2**n <= p**n < 2**(n * p.bit_length()) and 8**limit < 10**limit < 16**limit: a level
+    # past 4 * limit is refused before p**n is built, and only one near the limit is compared
+    if limit and n * p.bit_length() > 3 * limit and (n > 4 * limit or p**n >= 10**limit):
+        raise BudgetError(f"level n = {n} puts the index p^{n} past the {limit} digits a report prints")
+    return p**n
 
 
 def _logs(start: int, stop: int, base: int):
@@ -465,7 +472,7 @@ def check_cs_ergodic(c: MahlerCoeffs, n: int) -> Verdict:
         clause,
         f"a_{block} = {c.signed(block) % p} (mod {p})",
     )
-    head = sum(map(c.residue, range(1, block))) % p
+    head = sum(c.residues[1:block]) % p  # past M the row is total: those a_m are 0
     scan.require(
         head == 0,
         block - 1,

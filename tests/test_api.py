@@ -1,6 +1,10 @@
 """The public surface: every exported name resolves, and removed API stays gone."""
 import dataclasses
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import padyn
 from padyn.automata import NondegeneracyVerdict
@@ -32,9 +36,9 @@ def test_removed_api_stays_gone():
     ]
 
 
-def test_only_verdict_and_automaton_are_dataclasses():
+def test_no_layer_exports_a_dataclass():
     """A dataclass generates and execs its methods when its module is imported, about a
-    millisecond per class; the frozen value classes share ``padyn._record.Record`` instead."""
+    millisecond per class; the value classes share ``padyn._record.Record`` instead."""
     found = set()
     for layer in LAYERS:
         module = importlib.import_module(f"padyn.{layer}")
@@ -42,7 +46,17 @@ def test_only_verdict_and_automaton_are_dataclasses():
             name for name in module.__all__
             if isinstance(getattr(module, name), type) and dataclasses.is_dataclass(getattr(module, name))
         }
-    assert found == {"Verdict", "Automaton"}, (
-        f"new dataclasses {sorted(found - {'Verdict', 'Automaton'})}: derive a new frozen value "
-        "class from padyn._record.Record, which costs no code generation at import"
+    assert found == set(), (
+        f"new dataclasses {sorted(found)}: derive a new value class from padyn._record.Record, "
+        "which costs no code generation at import"
     )
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    """``dataclasses`` imports ``inspect``, ``ast`` and ``dis``, about 8 ms of a fresh import;
+    ``Record`` imports ``FrozenInstanceError`` only when it raises one."""
+    probe = "import sys, padyn.cli; print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+    src = str(Path(padyn.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

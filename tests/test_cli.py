@@ -1,10 +1,12 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -195,6 +197,55 @@ def test_reports_too_wide_to_print_exceed_the_budget(argv, what, capsys):
     assert capsys.readouterr().err.startswith(f"error: {what} mod p^")
     if what == "orbit points":
         assert run_command([arg if arg != "14" else "13" for arg in argv])[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", which, "--n", "20000", "--map", "x"] for which in ("cs-mp", "cs-ergodic", "bernoulli")]
+    + [
+        ["analyze", "--n", "20000", "--map", "x"],
+        ["check", "cs-mp", "--p", "3", "--n", "10000000", "--mmax", "4", "--map", "x"],
+    ],
+    ids=["cs-mp", "cs-ergodic", "bernoulli", "analyze", "cs-mp-p3-n1e7"],
+)
+def test_levels_too_wide_to_print_exceed_the_budget(argv, capsys):
+    # the index p^n has more digits than str() converts: refused, before p^n is computed
+    started = time.perf_counter()
+    assert run_command(argv) == (3, None)
+    assert time.perf_counter() - started < 1
+    err = capsys.readouterr().err
+    assert "int_max_str_digits" not in err and "integer string conversion" not in err
+    n, limit = argv[argv.index("--n") + 1], sys.get_int_max_str_digits()
+    assert err == f"error: level n = {n} puts the index p^{n} past the {limit} digits a report prints\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cycles", "--p", "3", "--n", "10000", "--kmax", "20000", "--map", "x"],
+        ["preimages", "--p", "2", "--kmax", "2000000", "--map", "x"],
+        ["plotset", "--p", "5", "--n", "2000000", "--kmax", "1", "--map", "x"],
+    ],
+    ids=["cycles", "preimages", "plotset"],
+)
+def test_tables_past_max_digits_are_refused_before_their_size_is_computed(argv, capsys):
+    # 3^200000000 alone takes minutes to compute
+    started = time.perf_counter()
+    assert run_command(argv) == (3, None)
+    assert time.perf_counter() - started < 1
+    message = rf"error: a table on Z/p\^\d+ needs inputs of \d+ digits; the limit is {mapdsl.MAX_DIGITS}\n"
+    assert re.fullmatch(message, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_widest_printable_level_runs(p, capsys):
+    limit = sys.get_int_max_str_digits()
+    n = int(limit / math.log10(p))  # the last level whose index p^n has at most limit digits
+    assert p**n < 10**limit <= p ** (n + 1)
+    argv = ["check", "cs-mp", "--p", str(p), "--map", "x", "--n"]
+    assert run_command(argv + [str(n)])[0] == 0
+    assert f"observed a_{p**n} = 0" in capsys.readouterr().out  # the index, printed in full
+    assert run_command(argv + [str(n + 1)])[0] == 3
 
 
 @pytest.mark.parametrize(
@@ -816,7 +867,7 @@ def _argv(draw, shift_files, out):
         st.integers(1, 300).map(_brackets),
     )
     small, wide = st.integers(1, 3), st.integers(10000, 20000)
-    argv = [*command, "--p", str(p), "--n", str(draw(st.integers(1, 2)))]
+    argv = [*command, "--p", str(p), "--n", str(draw(st.one_of(st.integers(1, 2), wide)))]
     argv += ["--kmax", str(draw(st.one_of(small, wide))), "--mmax", str(draw(st.integers(1, 16)))]
     argv += ["--K", str(draw(st.integers(1, 16))), "--grid", str(draw(st.integers(1, 16)))]
     if command[0] == "automaton":

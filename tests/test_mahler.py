@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -11,6 +10,7 @@ from test_kernel import EXPRESSIONS, EXTRA
 from padyn import cli, mahler
 from padyn.mahler import (
     MahlerCoeffs,
+    Verdict,
     check_bernoulli_properties,
     check_complex_shift_bound,
     check_cs_ergodic,
@@ -551,6 +551,7 @@ def test_verdict_to_json_is_asdict():
     ]
     for verdict in verdicts:
         data = verdict.to_json()
-        assert list(data.items()) == list(dataclasses.asdict(verdict).items())
+        assert list(data) == list(Verdict.__match_args__)
+        assert list(data.values()) == [getattr(verdict, name) for name in Verdict.__match_args__]
         data["kind"] = "changed"
         assert verdict.to_json()["kind"] != "changed"

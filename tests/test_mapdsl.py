@@ -301,20 +301,23 @@ def _chain(make, depth, leaf=Var()):
 
 
 @pytest.mark.parametrize(
-    "e, bound, degree, shape, slope",
+    "build, bound, degree, shape, slope",
     [
-        (_chain(lambda e: Sigma(1, e), 2000), 2000, None, "sigma(" * 2000 + "x" + ")" * 2000, 0),
-        (_chain(lambda e: Add(e, Var()), 9999), 0, 1, " + ".join(["x"] * 10000), 10000),
-        (_chain(Neg, 2000), 0, 1, "-" * 2000 + "x", 1),
+        (lambda leaf: _chain(lambda e: Sigma(1, e), 2000, leaf), 2000, None, "sigma(" * 2000 + "x" + ")" * 2000, 0),
+        (lambda leaf: _chain(lambda e: Add(e, Var()), 9999, leaf), 0, 1, " + ".join(["x"] * 10000), 10000),
+        (lambda leaf: _chain(Neg, 2000, leaf), 0, 1, "-" * 2000 + "x", 1),
     ],
     ids=["sigma-2000", "sum-10000", "neg-2000"],
 )
-def test_deep_trees_are_analysed_and_evaluated_without_recursion(e, bound, degree, shape, slope):
+def test_deep_trees_are_analysed_and_evaluated_without_recursion(build, bound, degree, shape, slope):
     # built through the API, so no parser limit applies; every walk is a loop over the
-    # map's program, so the default recursion limit of 1000 is no bound.  The sum is
-    # 10000 x, the signs an even count of negations, and sigma^2000 of an input below
-    # 3^2003 its digits past the 2000th
+    # map's program, and ==, hash and repr walk the records in a loop, so the default
+    # recursion limit of 1000 is no bound.  The sum is 10000 x, the signs an even count
+    # of negations, and sigma^2000 of an input below 3^2003 its digits past the 2000th
     p, q = 3, 27
+    e, twin = build(Var()), build(Var())
+    assert e == twin and e is not twin and hash(e) == hash(twin) and e != build(Const(1))
+    assert repr(e) == repr(twin) and repr(e).startswith(f"{type(e).__name__}(")
     assert lookahead_bound(e, p) == bound
     assert binomial_degree(e) == degree
     text = to_text(e)
@@ -324,7 +327,8 @@ def test_deep_trees_are_analysed_and_evaluated_without_recursion(e, bound, degre
         with pytest.raises(MapSyntaxError, match=rf"nested brackets \(at position {at}\)$"):
             parse_map(text)
     else:
-        assert to_text(parse_map(text)) == text  # not ==: Record.__eq__ recurses through the tree
+        parsed = parse_map(text)
+        assert parsed == e and hash(parsed) == hash(e)
     assert tabulate(e, p, q, 3) == tuple(slope * i % q for i in range(q))
     x = PadicApprox(p, bound + 3, 5 * p**bound)
     assert eval_map(e, x).residue == (5 if bound else slope * 5 % q)

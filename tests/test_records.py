@@ -1,4 +1,4 @@
-"""The frozen value classes behave as frozen dataclasses did: construction with
+"""The value classes behave as frozen dataclasses did: construction with
 defaults, argument errors, equality only within a class, hash, repr, immutability,
 pickle and deepcopy, ``match`` and the cached properties."""
 import copy
@@ -7,7 +7,7 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from padyn.automata import NondegeneracyVerdict, RunTrace, parse_automaton
+from padyn.automata import Automaton, NondegeneracyVerdict, RunTrace, parse_automaton
 from padyn.dynamics import (
     BoxCount,
     CensusResult,
@@ -16,7 +16,7 @@ from padyn.dynamics import (
     PlotSet,
     ReducedLevelMap,
 )
-from padyn.mahler import MahlerCoeffs
+from padyn.mahler import MahlerCoeffs, Verdict
 from padyn.mapdsl import (
     Add,
     AutoApply,
@@ -38,7 +38,7 @@ XOR = parse_automaton(
     "p 2\nstates z o\ninitial z\nz 0 -> z / 0\nz 1 -> o / 1\no 0 -> z / 1\no 1 -> o / 0\n"
 )
 
-# one record of every frozen value class, built from all of its fields by position
+# one record of every value class, built from all of its fields by position
 RECORDS = [
     Valuation(3, False),
     PadicApprox(5, 2, 7),
@@ -63,6 +63,8 @@ RECORDS = [
     OrbitResult((0, 1, 0), 0, 2),
     PlotSet(ReducedLevelMap(2, 2, 1, (0, 1, 0, 1)), 1, (1,)),
     BoxCount(2, b"\x01\x00\x00\x01", 2),
+    Verdict("violated_at", 8, 1, "a_1 = 1 (mod 4)", "a_1 = 3 (mod 4)", True, False, "note"),
+    XOR,
 ]
 
 # the fields each class may leave out, with their defaults
@@ -72,9 +74,10 @@ DEFAULTS = {
     MahlerCoeffs: {"degree_bound": None},
     CensusResult: {"witness_point": None, "witness_pair": None},
     OrbitResult: {"cycle_start": None, "cycle_length": None},
+    Verdict: {"m": None, "condition": "", "observed": "", "definitive": False, "total": False, "note": ""},
 }
 
-UNHASHABLE = (AutoApply, CycleReport)  # an Automaton field, a dict field
+UNHASHABLE = (AutoApply, CycleReport, Automaton)  # an Automaton field, dict fields
 
 
 def _fields(record):
@@ -86,7 +89,7 @@ def _ids(records):
 
 
 def test_every_frozen_class_is_covered():
-    assert len({type(r) for r in RECORDS}) == len(RECORDS) == 23
+    assert len({type(r) for r in RECORDS}) == len(RECORDS) == 25
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=_ids(RECORDS))
@@ -142,6 +145,12 @@ def test_repr_names_every_field():
     assert repr(CensusResult(1, (1, 1))) == (
         "CensusResult(expected=1, counts=(1, 1), witness_point=None, witness_pair=None)"
     )
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=_ids(RECORDS))
+def test_repr_is_the_class_and_its_fields(record):
+    body = ", ".join(f"{name}={value!r}" for name, value in _fields(record).items())
+    assert repr(record) == f"{type(record).__qualname__}({body})"
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=_ids(RECORDS))

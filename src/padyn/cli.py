@@ -169,30 +169,24 @@ def _cycles_section(top: dynamics.ReducedLevelMap, args) -> list[dict]:
     for k in range(1, args.kmax + 1):
         m = args.n * k
         report = dynamics.cycle_report(top.restrict(m, m))
-        rows.append(_cycle_row(m, report))
+        small = sum(len(c) for c in report.cycles) <= 256
+        rows.append(
+            {
+                "kind": "cycles",
+                "m": m,
+                "cycle_count": len(report.cycles),
+                "cycle_lengths": list(report.cycle_lengths),
+                "unique_cycle": report.unique_cycle,
+                "distance_histogram": {str(d): c for d, c in report.distance_histogram.items()},
+                "cycles": [list(c) for c in report.cycles] if small else None,
+            }
+        )
     return rows
-
-
-def _cycle_row(m: int, report: dynamics.CycleReport) -> dict:
-    small = sum(len(c) for c in report.cycles) <= 256
-    return {
-        "kind": "cycles",
-        "m": m,
-        "cycle_count": len(report.cycles),
-        "cycle_lengths": list(report.cycle_lengths),
-        "unique_cycle": report.unique_cycle,
-        "distance_histogram": {str(d): c for d, c in report.distance_histogram.items()},
-        "cycles": [list(c) for c in report.cycles] if small else None,
-    }
 
 
 def _plotset_section(top: dynamics.ReducedLevelMap, args) -> dict:
     """The plot-set summary; also writes the --csv and --pgm files."""
     ps = dynamics.PlotSet(top, args.n, range(1, args.kmax + 1))
-    if args.grid < 1:  # before --csv is opened
-        raise ValueError("grid size must be >= 1")
-    if args.grid**2 > DEFAULT_BUDGET:  # whatever --budget says: it sizes the table
-        raise BudgetError(f"--grid {args.grid} needs {args.grid**2} cells; the cap is {DEFAULT_BUDGET}")
     with open(args.csv, "w") if args.csv else nullcontext() as csv:
         bc = dynamics.box_count(ps, args.grid, csv)
     if args.pgm:
@@ -211,6 +205,24 @@ def _plotset_section(top: dynamics.ReducedLevelMap, args) -> dict:
             }
         ],
     }
+
+
+# Each oracle section: the (domain, codomain) digits of the table its rows read at (n, kmax),
+# and the function that reads them off that table
+_ORACLES = {
+    "census": (lambda n, k: (n * k, n * (k - 1)), _census_section),
+    "cycles": (lambda n, k: (n * k, n * k), _cycles_section),
+    "plotset": (lambda n, k: (n + k, k), _plotset_section),
+}
+# the report sections each map subcommand fills, in the order it computes them
+_SECTIONS = {
+    "mahler": ("coefficients",),
+    "check": ("coefficients", "verdicts"),
+    "preimages": ("census",),
+    "cycles": ("cycles",),
+    "plotset": ("plotset",),
+    "analyze": ("coefficients", "verdicts", *_ORACLES),
+}
 
 
 def _dispatch(args, budget) -> dict:
@@ -277,42 +289,28 @@ def _dispatch(args, budget) -> dict:
         )
         return report
 
-    # Each oracle subcommand tabulates the map once, on the largest level
-    # its rows need; every row is a restrict of that table.
-    p, n, kmax = args.p, args.n, args.kmax
-    if args.subcommand == "preimages":
-        if kmax > 1:
-            top = dynamics.reduced_map(expr, p, n * kmax, n * (kmax - 1), budget)
-            report["census"] = _census_section(top, args)
-        return report
-
-    if args.subcommand == "cycles":
-        top = dynamics.reduced_map(expr, p, n * kmax, n * kmax, budget)
-        report["cycles"] = _cycles_section(top, args)
-        return report
-
-    if args.subcommand == "plotset":
-        top = dynamics.reduced_map(expr, p, n + kmax, kmax, budget)
-        report["plotset"] = _plotset_section(top, args)
-        return report
-
-    coeffs = mahler.mahler_coeffs(expr, args.p, args.mmax, args.K, budget)
-    report["coefficients"] = _coefficient_rows(coeffs)
-
-    if args.subcommand == "mahler":
-        return report
-
-    checks = [args.which] if args.subcommand == "check" else list(_CHECKS)[:-1]
-    for which in checks:
-        report["verdicts"][which.replace("-", "_")] = _CHECKS[which](coeffs, args).to_json()
-    if args.subcommand == "check":
-        return report
-
-    # analyze: the oracles read one table
-    top = dynamics.reduced_map(expr, p, max(n * kmax, n + kmax), n * kmax, budget)
-    report["census"] = _census_section(top, args)
-    report["cycles"] = _cycles_section(top, args)
-    report["plotset"] = _plotset_section(top, args)
+    sections = _SECTIONS[args.subcommand]
+    if "plotset" in sections:  # before the coefficients, any table and --csv
+        if args.grid < 1:
+            raise ValueError("grid size must be >= 1")
+        if args.grid**2 > DEFAULT_BUDGET:  # whatever --budget says: it sizes the table
+            raise BudgetError(f"--grid {args.grid} needs {args.grid**2} cells; the cap is {DEFAULT_BUDGET}")
+    if "coefficients" in sections:
+        coeffs = mahler.mahler_coeffs(expr, args.p, args.mmax, args.K, budget)
+        report["coefficients"] = _coefficient_rows(coeffs)
+    if "verdicts" in sections:
+        checks = [args.which] if args.subcommand == "check" else list(_CHECKS)[:-1]
+        for which in checks:
+            report["verdicts"][which.replace("-", "_")] = _CHECKS[which](coeffs, args).to_json()
+    # the oracle sections read one table, on the largest domain and codomain they need, and
+    # each row is a restrict of it; a codomain of 0 (preimages at kmax 1) leaves no row to read
+    oracles = [name for name in sections if name in _ORACLES]
+    shapes = [_ORACLES[name][0](args.n, args.kmax) for name in oracles]
+    domain, codomain = map(max, zip((0, 0), *shapes))  # (0, 0) without an oracle section
+    if codomain:
+        top = dynamics.reduced_map(expr, args.p, domain, codomain, budget)
+        for name in oracles:
+            report[name] = _ORACLES[name][1](top, args)
     return report
 
 

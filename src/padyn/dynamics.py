@@ -20,7 +20,7 @@ from typing import TextIO
 
 from ._record import Record
 from .errors import BudgetError
-from .mapdsl import DEFAULT_BUDGET, MAX_DIGITS, MapExpr, _evaluator, tabulate
+from .mapdsl import DEFAULT_BUDGET, MapExpr, _evaluator, _table_size, tabulate
 
 __all__ = [
     "BoxCount",
@@ -96,10 +96,7 @@ def reduced_map(
     """The map on Z/p**domain_digits, reduced mod p**codomain_digits; every
     oracle table is this one or a ``restrict`` of it.  Inputs of more than MAX_DIGITS digits
     are refused before p**domain_digits is computed."""
-    if domain_digits > MAX_DIGITS:
-        d = domain_digits
-        raise BudgetError(f"a table on Z/p^{d} needs inputs of {d} digits; the limit is {MAX_DIGITS}")
-    table = tabulate(e, p, p ** domain_digits, codomain_digits, budget)
+    table = tabulate(e, p, _table_size(p, domain_digits), codomain_digits, budget)
     return _level(p, domain_digits, codomain_digits, table)
 
 

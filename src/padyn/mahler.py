@@ -105,28 +105,6 @@ class Verdict(Record):
     total: bool = False
     note: str = ""
 
-    @classmethod
-    def satisfied(cls, bound: int, total: bool = False, note: str = "") -> Verdict:
-        return cls("satisfied_up_to", bound, total=total, note=note)
-
-    @classmethod
-    def violated(
-        cls,
-        bound: int,
-        m: int,
-        condition: str,
-        observed: str,
-        definitive: bool = False,
-        note: str = "",
-    ) -> Verdict:
-        return cls("violated_at", bound, m, condition, observed, definitive, note=note)
-
-    @classmethod
-    def undecidable(
-        cls, bound: int, m: int, condition: str, observed: str = "", note: str = ""
-    ) -> Verdict:
-        return cls("undecidable_at", bound, m, condition, observed, note=note)
-
     @property
     def satisfied_up_to(self) -> bool:
         return self.kind == "satisfied_up_to"
@@ -278,10 +256,11 @@ def eval_mahler(c: MahlerCoeffs, i: int) -> int:
 
 
 class _Scan:
-    """Collects per-index clause results with violation-first priority."""
+    """Collects per-index clause results with violation-first priority; each verdict
+    carries the check's ``note``."""
 
-    def __init__(self, c: MahlerCoeffs):
-        self.c = c
+    def __init__(self, c: MahlerCoeffs, note: str = ""):
+        self.c, self.note = c, note
         self.violation: Verdict | None = None
         self.undecided: Verdict | None = None
 
@@ -296,12 +275,15 @@ class _Scan:
             if required <= v.value:
                 continue
             if v.exact:
-                self.violation = Verdict.violated(
-                    self.c.max_index, m, condition(m, required), f"valuation {v}", definitive
+                self.violation = Verdict(
+                    "violated_at", self.c.max_index, m, condition(m, required), f"valuation {v}",
+                    definitive, note=self.note,
                 )
                 return
             if self.undecided is None:
-                self.undecided = Verdict.undecidable(self.c.max_index, m, condition(m, required))
+                self.undecided = Verdict(
+                    "undecidable_at", self.c.max_index, m, condition(m, required), note=self.note
+                )
 
     def reaches(self, m: int, condition: str) -> bool:
         """Whether a_m is known: the coefficients reach index m, or the row is total, so
@@ -316,19 +298,20 @@ class _Scan:
         """``condition`` is undecidable at m for the shortfall ``observed``, below any violation
         already found; the check stops scanning there."""
         if self.undecided is None:
-            self.undecided = Verdict.undecidable(self.c.max_index, m, condition, observed)
+            self.undecided = Verdict(
+                "undecidable_at", self.c.max_index, m, condition, observed, note=self.note
+            )
 
     def require(self, ok: bool, m: int, condition: str, observed: str, definitive=False):
         if self.violation is None and not ok:
-            self.violation = Verdict.violated(
-                self.c.max_index, m, condition, observed, definitive=definitive
+            self.violation = Verdict(
+                "violated_at", self.c.max_index, m, condition, observed, definitive, note=self.note
             )
 
-    def verdict(self, total: bool = False, note: str = "") -> Verdict:
-        found = self.violation or self.undecided
-        if found is not None:
-            return Verdict(*found._values(found)[:-1], note)  # note is the last field
-        return Verdict.satisfied(self.c.max_index, total=total, note=note)
+    def verdict(self, total: bool = False) -> Verdict:
+        return self.violation or self.undecided or Verdict(
+            "satisfied_up_to", self.c.max_index, total=total, note=self.note
+        )
 
 
 def _block(p: int, n: int) -> int:
@@ -381,12 +364,12 @@ def check_lipschitz_mp(c: MahlerCoeffs) -> Verdict:
     a_1 a unit, and a_m divisible by p**(floor(log_p m) + 1) for m >= 2."""
     p, M = c.p, c.max_index
     clause = "a_1 not = 0 (mod p)"
-    scan = _Scan(c)
+    scan = _Scan(c, _SUFFICIENT)
     if not scan.reaches(1, clause):
-        return scan.verdict(note=_SUFFICIENT)
+        return scan.verdict()
     scan.require(c.residue(1) % p != 0, 1, clause, f"a_1 = {c.signed(1)}")
     scan.require_valuations(((m, e + 1) for m, e in _logs(2, M + 1, p)), _DIVIDES)
-    return scan.verdict(total=c.total, note=_SUFFICIENT)
+    return scan.verdict(total=c.total)
 
 
 def check_lipschitz_ergodic(c: MahlerCoeffs, strict_m1: bool = False) -> Verdict:
@@ -401,7 +384,7 @@ def check_lipschitz_ergodic(c: MahlerCoeffs, strict_m1: bool = False) -> Verdict
     p, M = c.p, c.max_index
     definitive = p == 2
     note = "necessary and sufficient for p=2" if definitive else _SUFFICIENT
-    scan = _Scan(c)
+    scan = _Scan(c, note)
     scan.require(
         c.residues[0] % p != 0,
         0,
@@ -411,10 +394,10 @@ def check_lipschitz_ergodic(c: MahlerCoeffs, strict_m1: bool = False) -> Verdict
     )
     clause = "a_1 = 1 (mod 4)" if p == 2 else "a_1 = 1 (mod p)"
     if not scan.reaches(1, clause):
-        return scan.verdict(note=note)
+        return scan.verdict()
     if p == 2 and c.precision < 2:
         scan.short(1, f"{clause} needs K >= 2", f"working precision is K = {c.precision}")
-        return scan.verdict(note=note)
+        return scan.verdict()
     mod = 4 if p == 2 else p
     scan.require(
         c.residue(1) % mod == 1, 1, clause, f"a_1 = {c.signed(1) % mod} (mod {mod})", definitive
@@ -423,7 +406,7 @@ def check_lipschitz_ergodic(c: MahlerCoeffs, strict_m1: bool = False) -> Verdict
     scan.require_valuations(
         ((m - 1, e + 1) for m, e in _logs(start + 1, M + 2, p)), _DIVIDES, definitive
     )
-    return scan.verdict(total=c.total, note=note)
+    return scan.verdict(total=c.total)
 
 
 def check_complex_shift_bound(c: MahlerCoeffs, n: int) -> Verdict:
@@ -444,9 +427,9 @@ def check_cs_mp(c: MahlerCoeffs, n: int) -> Verdict:
     p**floor(log_{p^n} m) | a_m for m > p**n."""
     p, M, block = c.p, c.max_index, _block(c.p, n)
     clause = f"a_m not = 0 (mod p) for m = p^{n}"
-    scan = _Scan(c)
+    scan = _Scan(c, _SUFFICIENT)
     if not scan.reaches(block, clause):
-        return scan.verdict(note=_SUFFICIENT)
+        return scan.verdict()
     scan.require(
         c.residue(block) % p != 0,
         block,
@@ -454,7 +437,7 @@ def check_cs_mp(c: MahlerCoeffs, n: int) -> Verdict:
         f"a_{block} = {c.signed(block)}",
     )
     scan.require_valuations(_logs(block + 1, M + 1, block), _DIVIDES)
-    return scan.verdict(total=c.total, note=_SUFFICIENT)
+    return scan.verdict(total=c.total)
 
 
 def check_cs_ergodic(c: MahlerCoeffs, n: int) -> Verdict:
@@ -463,9 +446,9 @@ def check_cs_ergodic(c: MahlerCoeffs, n: int) -> Verdict:
     p, and the same tail divisibility as the measure-preservation test."""
     p, M, block = c.p, c.max_index, _block(c.p, n)
     clause = f"a_m = 1 (mod p) for m = p^{n}"
-    scan = _Scan(c)
+    scan = _Scan(c, _SUFFICIENT)
     if not scan.reaches(block, clause):
-        return scan.verdict(note=_SUFFICIENT)
+        return scan.verdict()
     scan.require(
         c.residue(block) % p == 1,
         block,
@@ -480,4 +463,4 @@ def check_cs_ergodic(c: MahlerCoeffs, n: int) -> Verdict:
         f"sum = {head} (mod {p})",
     )
     scan.require_valuations(_logs(block + 1, M + 1, block), _DIVIDES)
-    return scan.verdict(total=c.total, note=_SUFFICIENT)
+    return scan.verdict(total=c.total)

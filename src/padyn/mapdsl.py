@@ -651,6 +651,14 @@ def tabulate(
     return tuple(chain.from_iterable(blocks))
 
 
+def _table_size(p: int, d: int) -> int:
+    """p**d, the size of a table on Z/p**d; inputs of more than MAX_DIGITS digits are
+    refused before the power is computed."""
+    if d > MAX_DIGITS:
+        raise BudgetError(f"a table on Z/p^{d} needs inputs of {d} digits; the limit is {MAX_DIGITS}")
+    return p**d
+
+
 def step_order(table, p: int) -> int:
     """Smallest L such that the table is constant on cosets mod p**L."""
     table = list(table)
@@ -704,8 +712,8 @@ def decompose_complex_shift(
         raise ValueError("complex-shift level must be >= 1")
     if depth < 1:
         raise ValueError("test depth must be >= 1")
+    f_table = tabulate(e, p, _table_size(p, n + depth), n + depth, budget)
     block = p ** n
-    f_table = tabulate(e, p, p ** (n + depth), n + depth, budget)
     t_table = f_table[:block]
     # G_z is 1-Lipschitz at depth j iff G_z(t) = G_z(t mod p**j) mod p**j for all t
     witness = next(

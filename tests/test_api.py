@@ -8,6 +8,7 @@ from pathlib import Path
 
 import padyn
 from padyn.automata import NondegeneracyVerdict
+from padyn.mahler import Verdict
 from padyn.padic import PadicApprox
 
 # the layer modules whose ``__all__`` is walked to find the public functions
@@ -30,6 +31,7 @@ def test_removed_api_stays_gone():
         assert [name for name in removed if hasattr(module, name)] == [], module.__name__
     members = ("from_int", "digit", "digits", "reduce", "sigma", "is_unit", "valuation", "norm")
     assert [name for name in members if hasattr(PadicApprox, name)] == []
+    assert [name for name in ("satisfied", "violated", "undecidable") if hasattr(Verdict, name)] == []
     assert "__add__" not in vars(PadicApprox) and "__str__" not in vars(NondegeneracyVerdict)
     assert padyn.padic.__all__ == [
         "PadicApprox", "Valuation", "binomial_eval", "is_prime", "residue_valuation",

@@ -738,8 +738,21 @@ def test_plotset_command_writes_artifacts(tmp_path):
     assert report["plotset"]["points"] == len(csv.read_text().splitlines()) - 1
 
 
+@pytest.fixture
+def evaluators(monkeypatch):
+    """The argument tuples of every column evaluator made, so of every table built."""
+    made, evaluator = [], mapdsl._evaluator
+
+    def counting_evaluator(*args):
+        made.append(args)
+        return evaluator(*args)
+
+    monkeypatch.setattr(mapdsl, "_evaluator", counting_evaluator)
+    return made
+
+
 @pytest.mark.parametrize("subcommand", ["plotset", "analyze"])
-def test_bad_grid_leaves_the_csv_file_alone(subcommand, tmp_path, capsys):
+def test_bad_grid_leaves_the_csv_file_alone(subcommand, tmp_path, capsys, evaluators):
     csv = tmp_path / "points.csv"
     argv = [subcommand, "--map", "sigma(x)", "--kmax", "3", "--grid", "0", "--csv", str(csv)]
     assert run_command(argv) == (2, None)
@@ -748,10 +761,11 @@ def test_bad_grid_leaves_the_csv_file_alone(subcommand, tmp_path, capsys):
     csv.write_text("kept\n")
     assert run_command(argv)[0] == 2
     assert csv.read_text() == "kept\n"
+    assert evaluators == []  # the grid is checked before the coefficients and the table
 
 
 @pytest.mark.parametrize("subcommand", ["plotset", "analyze"])
-def test_grid_over_the_cap_leaves_the_csv_file_alone(subcommand, tmp_path, capsys):
+def test_grid_over_the_cap_leaves_the_csv_file_alone(subcommand, tmp_path, capsys, evaluators):
     # grid**2 is capped at DEFAULT_BUDGET (grid <= 2048) whatever --budget says
     csv = tmp_path / "points.csv"
     argv = [subcommand, "--map", "x", "--kmax", "3", "--grid", "2049", "--csv", str(csv)]
@@ -762,6 +776,35 @@ def test_grid_over_the_cap_leaves_the_csv_file_alone(subcommand, tmp_path, capsy
     csv.write_text("kept\n")
     assert run_command(argv)[0] == 3
     assert csv.read_text() == "kept\n"
+    assert evaluators == []
+
+
+# the (domain, codomain) digits of the one table each oracle subcommand builds at (p, n, kmax)
+TABLE_SHAPES = {
+    "preimages": lambda n, k: (n * k, n * (k - 1)),
+    "cycles": lambda n, k: (n * k, n * k),
+    "plotset": lambda n, k: (n + k, k),
+    "analyze": lambda n, k: (max(n * k, n + k), n * k),
+}
+
+
+@pytest.mark.parametrize("subcommand", list(TABLE_SHAPES))
+@pytest.mark.parametrize("p, n, kmax", [(2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 1, 4), (3, 2, 2), (5, 3, 1)])
+def test_each_oracle_subcommand_builds_one_table(monkeypatch, subcommand, p, n, kmax):
+    calls, reduced_map = [], dynamics.reduced_map
+
+    def recording_reduced_map(e, *args):  # args: p, domain and codomain digits, budget
+        calls.append(args)
+        return reduced_map(e, *args)
+
+    monkeypatch.setattr(dynamics, "reduced_map", recording_reduced_map)
+    argv = [subcommand, "--p", str(p), "--n", str(n), "--kmax", str(kmax), "--mmax", "4"]
+    code, report = run_command(argv + ["--grid", "4", "--map", "x^2+x+1"])
+    assert code == 0
+    if subcommand == "preimages" and kmax == 1:  # no census row, so no table
+        assert calls == [] and report["census"] == []
+    else:
+        assert calls == [(p, *TABLE_SHAPES[subcommand](n, kmax), None)]
 
 
 # --- automaton subcommands ---------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -385,6 +387,14 @@ def test_decompose_double_shift_fails_at_level_one():
 def test_decompose_budget():
     with pytest.raises(BudgetError):
         decompose_complex_shift(parse_map("x"), 2, 1, 10, budget=100)
+
+
+def test_decompose_refuses_a_table_past_max_digits_before_its_size_is_computed():
+    # 3^4000000 alone takes seconds to compute; the refusal is the one reduced_map gives
+    limit = mapdsl.MAX_DIGITS
+    message = f"a table on Z/p^4000001 needs inputs of 4000001 digits; the limit is {limit}"
+    with pytest.raises(BudgetError, match=re.escape(message)):
+        decompose_complex_shift(parse_map("x"), 3, 4000000, 1)
 
 
 # --- padding independence --------------------------------------------------------

@@ -15,8 +15,7 @@ import json
 import os
 import sys
 import time
-from contextlib import nullcontext
-from pathlib import Path
+from contextlib import contextmanager
 
 from . import automata, dynamics, mahler
 from .errors import (
@@ -184,13 +183,47 @@ def _cycles_section(top: dynamics.ReducedLevelMap, args) -> list[dict]:
     return rows
 
 
+def _check_outputs(args, *flags: str) -> None:
+    """Each of the output paths given must name a writable file, or a new one in a writable
+    directory (so /dev/null passes).  Checked before any work, without creating or
+    truncating the file."""
+    for flag in flags:
+        if path := getattr(args, flag):
+            folder = os.path.dirname(path) or "."
+            if os.path.isdir(path):
+                raise ValueError(f"--{flag} {path} is a directory")
+            if os.path.exists(path):
+                if not os.access(path, os.W_OK):
+                    raise ValueError(f"--{flag} {path} is not writable")
+            elif not os.path.isdir(folder):
+                raise ValueError(f"--{flag} {path}: no directory {folder}")
+            elif not os.access(folder, os.W_OK | os.X_OK):
+                raise ValueError(f"--{flag} {path}: the directory {folder} is not writable")
+
+
+@contextmanager
+def _output(args, flag: str):
+    """The --flag file open for writing, or None without the flag; an OSError on it is a
+    configuration error that names the flag."""
+    if not (path := getattr(args, flag)):
+        yield None
+        return
+    try:
+        with open(path, "w") as file:
+            yield file
+    except OSError as exc:
+        raise ValueError(f"--{flag} {path}: {exc.strerror or exc}") from exc
+
+
 def _plotset_section(top: dynamics.ReducedLevelMap, args) -> dict:
     """The plot-set summary; also writes the --csv and --pgm files."""
     ps = dynamics.PlotSet(top, args.n, range(1, args.kmax + 1))
-    with open(args.csv, "w") if args.csv else nullcontext() as csv:
+    with _output(args, "csv") as csv:
         bc = dynamics.box_count(ps, args.grid, csv)
     if args.pgm:
-        Path(args.pgm).write_text(dynamics.to_pgm(bc))
+        text = dynamics.to_pgm(bc)
+        with _output(args, "pgm") as pgm:
+            pgm.write(text)
     return {
         "n": args.n,
         "k_max": args.kmax,
@@ -230,6 +263,7 @@ def _dispatch(args, budget) -> dict:
         raise ValueError(f"p must be prime, got {args.p}")
     if min(args.K, args.mmax, args.kmax, args.n) < 1:
         raise ValueError("K, mmax, kmax and n must all be >= 1")
+    _check_outputs(args, "json")
     report = {
         "config": _config_echo(args, budget),
         "coefficients": [],
@@ -295,6 +329,7 @@ def _dispatch(args, budget) -> dict:
             raise ValueError("grid size must be >= 1")
         if args.grid**2 > DEFAULT_BUDGET:  # whatever --budget says: it sizes the table
             raise BudgetError(f"--grid {args.grid} needs {args.grid**2} cells; the cap is {DEFAULT_BUDGET}")
+        _check_outputs(args, "csv", "pgm")
     if "coefficients" in sections:
         coeffs = mahler.mahler_coeffs(expr, args.p, args.mmax, args.K, budget)
         report["coefficients"] = _coefficient_rows(coeffs)
@@ -433,6 +468,11 @@ def run_command(argv) -> tuple[int, dict | None]:
     try:
         budget = _resolve_budget(args)
         report = _dispatch(args, budget)
+        report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
+        text = render_report(report, "text")
+        if args.json:  # before the text report goes out, so a failed write ends in an error
+            with _output(args, "json") as out:
+                out.write(render_report(report, "json"))
     except (BudgetError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3, None
@@ -446,10 +486,7 @@ def run_command(argv) -> tuple[int, dict | None]:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, None
-    report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
-    sys.stdout.write(render_report(report, "text"))
-    if args.json:
-        Path(args.json).write_text(render_report(report, "json"))
+    sys.stdout.write(text)
     return 0, report
 
 

@@ -174,12 +174,14 @@ def _differences(row, q: int) -> list[int]:
     so no carry crosses into the next.  It keeps n - h of its n + h slots, so h is the largest
     power of two <= n / 3 (measured); each kernel is packed once per call, as q is fixed.
     A part that is zero mod q has zero differences, so it returns zeros without a product.
-    When the head's coefficients end at a_d, d well below h (``_worth_checking``), the row's
-    (d + 1)-th differences are read first: if they vanish mod q, its coefficients past d are
-    zero, since the transform mod q is unitriangular, and the top product is skipped.  So the
-    zero tail of a continuous map's coefficients costs a product by a (d + 2)-slot kernel; a
-    failed test costs at most a quarter of the top product, which ``_transform_cost`` charges
-    either way."""
+    When the head's coefficients end at a_d, d up to about 0.61 h (``_worth_checking``), the
+    head's polynomial is probed at the last point, then the row's (d + 1)-th differences are
+    read: if they vanish mod q, its coefficients past d are zero, since the transform mod q is
+    unitriangular, and the top product is skipped.  So the zero tail of a continuous map's
+    coefficients costs a product by a (d + 2)-slot kernel.  A row that passes the probe but
+    fails the test keeps those differences, whose (h - d - 1)-th differences are the row's
+    h-th: a product by an (h - d)-slot kernel takes the place of the top one.  The charge of
+    ``_transform_cost`` is the top product's either way, so no test moves it."""
     kernels = {}
 
     def kernel(order, width):
@@ -202,36 +204,45 @@ def _differences(row, q: int) -> list[int]:
         width = -(-((h + 1) * (q - 1) ** 2).bit_length() // 8)
         packed = _pack(row, width)
 
-        def slots(order):
-            # slot s of the product is Delta^order row(s - order), for order <= h; the slots
-            # s >= h are those row[:h] does not fix
-            data = (kernel(order, width) * packed).to_bytes((n + order + 1) * width, "little")
-            cut = range(h * width, n * width, width)
+        def product(order, packed, length):
+            # slot s is Delta^order of the packed values at s - order, for order <= s < length
+            return (kernel(order, width) * packed).to_bytes((length + order + 1) * width, "little")
+
+        def slots(data, first, last):
+            cut = range(first * width, last * width, width)
             return (int.from_bytes(data[i : i + width], "little") % q for i in cut)
 
         d = max(compress(range(h), head), default=-1)
+        order = h
         # the head's polynomial sum_{m <= d} a_m C(j, m) is probed at the last point, in O(d),
         # before its (d+1)-th differences are read over the tail
-        if (
-            _worth_checking(d, h)
-            and sum(map(mul, head, _binomials(n - 1, d))) % q == row[-1]
-            and not any(slots(d + 1))
-        ):
-            return head + [0] * (n - h)
-        return head + split(list(slots(h)))
+        if _worth_checking(d, h) and sum(map(mul, head, _binomials(n - 1, d))) % q == row[-1]:
+            data = product(d + 1, packed, n)
+            if not any(slots(data, h, n)):
+                return head + [0] * (n - h)
+            # the test's Delta^(d+1) row(j), j < n - d - 1, are not wasted: Delta^h row is
+            # their (h - d - 1)-th differences, a product by a smaller kernel than the top one
+            packed, n, order = _pack(list(slots(data, d + 1, n)), width), n - d - 1, h - d - 1
+        return head + split(list(slots(product(order, packed, n), order, n)))
 
-    return split(row)
+    try:
+        return split(row)
+    finally:
+        del split  # split's cell refers to split: emptied, the closures go without a gc pass
 
 
 def _worth_checking(d: int, h: int) -> bool:
     """Whether a row whose head row[:h] has coefficients ending at a_d is tested against that
     head before the top product.  A product of the n-slot row by an s-slot kernel runs as about
-    n/s Karatsuba products of s slots, n s^(log2(3) - 1) in all, so the test's (d + 2)-slot
-    product costs ((d + 2) / (h + 1))^(log2(3) - 1) of the (h + 1)-slot one it can skip.  It
-    is tried when that share is at most 1/4, i.e. d + 2 <= (h + 1) / 10.7.  A row that fails
-    the test at the last point costs O(d); one that fails further in wastes at most a quarter
-    of the top product, plus reading the slots up to its first nonzero difference."""
-    return 4 * (d + 2) ** (math.log2(3) - 1) <= (h + 1) ** (math.log2(3) - 1)
+    n/s Karatsuba products of s slots, n s^e in all (e = log2(3) - 1), so the test's (d + 2)-slot
+    product costs x = ((d + 2) / (h + 1))^e of the (h + 1)-slot one it can skip.  The O(d)
+    last-point probe runs first and turns away almost every row whose tail does not vanish,
+    and a failed test's product is kept (``_differences``), so the test is tried whenever a
+    pass saves at least a quarter of the top product: x <= 3/4, i.e. (d + 2) / (h + 1) <= 0.61.
+    A failed test then costs x + ((h - d) / (h + 1))^e <= 2^(1 - e), about 4/3, of the top
+    product in this estimate.  Past the share a pass saves little, and trying the test on every
+    row made ``sigma(x)`` at p = 2, K = 2000, 4097 points slower (measured)."""
+    return 4 * (d + 2) ** (math.log2(3) - 1) <= 3 * (h + 1) ** (math.log2(3) - 1)
 
 
 def _binomials(top: int, last: int):

@@ -779,6 +779,64 @@ def test_grid_over_the_cap_leaves_the_csv_file_alone(subcommand, tmp_path, capsy
     assert evaluators == []
 
 
+# paths that --json, --csv and --pgm cannot write: the first two are refused before any
+# work; a name too long for the file system passes that check and fails when it is opened
+_UNWRITABLE = {
+    "missing directory": lambda tmp: tmp / "missing" / "out",
+    "directory": lambda tmp: tmp,
+    "long name": lambda tmp: tmp / ("x" * 300),
+}
+
+
+@pytest.mark.parametrize("flag", ["json", "csv", "pgm"])
+@pytest.mark.parametrize("kind", list(_UNWRITABLE))
+def test_an_unwritable_output_is_a_config_error_naming_its_flag(flag, kind, tmp_path, capsys):
+    path = _UNWRITABLE[kind](tmp_path)
+    argv = ["analyze", "--map", "x^2+x+1", "--kmax", "3", "--grid", "8", f"--{flag}", str(path)]
+    assert run_command(argv) == (2, None)
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: --{flag} {path}"), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["json", "csv", "pgm"])
+def test_only_a_new_output_file_needs_a_writable_directory(monkeypatch, flag, tmp_path, capsys):
+    # as a user other than root sees /dev: no file can be made there, yet /dev/null can be
+    # written; the directory is read-only here and the existing file is writable or not
+    kept = tmp_path / "kept"
+    kept.write_text("kept\n")
+    writable = {tmp_path: False, kept: True}
+    access = os.access
+    monkeypatch.setattr(
+        os, "access", lambda path, mode: writable.get(Path(path), access(path, mode))
+    )
+    argv = ["analyze", "--map", "x^2+x+1", "--kmax", "3", "--grid", "8", f"--{flag}"]
+    assert run_command(argv + [str(kept)])[0] == 0
+    assert kept.read_text() != "kept\n"
+    capsys.readouterr()
+    writable[kept] = False
+    for path in (tmp_path / "new", kept):
+        assert run_command(argv + [str(path)]) == (2, None)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --{flag} {path}") and "not writable" in err, err
+
+
+@pytest.mark.parametrize("subcommand", ["plotset", "analyze"])
+@pytest.mark.parametrize("flag", ["json", "csv", "pgm"])
+def test_an_unwritable_output_builds_no_table(monkeypatch, subcommand, flag, tmp_path, capsys):
+    calls, reduced_map = [], dynamics.reduced_map
+    monkeypatch.setattr(dynamics, "reduced_map", lambda *args: calls.append(args) or reduced_map(*args))
+    kept = {other: tmp_path / f"kept.{other}" for other in ("json", "csv", "pgm") if other != flag}
+    argv = [subcommand, "--map", "x^2+x+1", "--kmax", "4", f"--{flag}", str(tmp_path / "no" / "out")]
+    for other, path in kept.items():
+        path.write_text("kept\n")
+        argv += [f"--{other}", str(path)]
+    assert run_command(argv) == (2, None)
+    assert f"--{flag}" in capsys.readouterr().err
+    assert calls == []
+    assert all(path.read_text() == "kept\n" for path in kept.values())  # nor truncated
+
+
 # the (domain, codomain) digits of the one table each oracle subcommand builds at (p, n, kmax)
 TABLE_SHAPES = {
     "preimages": lambda n, k: (n * k, n * (k - 1)),
@@ -920,8 +978,10 @@ def _argv(draw, shift_files, out):
     if command[0] == "orbit":
         argv += ["--m", str(draw(st.one_of(st.integers(1, 8), wide)))]
         argv += ["--x0", str(draw(st.integers(0, 9))), "--steps", str(draw(st.integers(0, 12)))]
-    if draw(st.booleans()):
-        argv += ["--json", str(out / "report.json")]
+    for flag in ("json", "csv", "pgm"):  # absent, fresh, in a missing directory, a directory
+        paths = [None, out / f"out.{flag}", out / "missing" / f"out.{flag}", out]
+        if (path := draw(st.sampled_from(paths))) is not None:
+            argv += [f"--{flag}", str(path)]
     return argv
 
 

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -127,12 +128,13 @@ def _split_point(n):
 
 def _sparse_head_rows(n, q, rng):
     """(d, tail, row) for rows whose first h coefficients are a_0, a_{d/2} and a_d
-    (a_d nonzero), on the degrees the transform's head test is tried at and past it.
+    (a_d nonzero), on degrees up to h // 2, where the transform's head test is tried once
+    h >= 16, and at 3h // 4, past its share.
     The tail after row[:h] is: zero (the row is the head's polynomial), dense (random
     values), zero except a_{n-1} (the polynomial but for its last point), or the
     polynomial but for the middle point of the tail, which the last-point probe cannot see."""
     h = _split_point(n)
-    for d in sorted({min(d, h - 1) for d in (0, 1, 2, h // 8, h // 4)}):
+    for d in sorted({min(d, h - 1) for d in (0, 1, 2, h // 2, 3 * h // 4)}):
         a = {0: rng.randrange(q), d // 2: rng.randrange(q), d: rng.randrange(1, q)}
         poly = [sum(c * math.comb(j, m) for m, c in a.items()) % q for j in range(n)]
         yield d, "zero", poly
@@ -178,6 +180,20 @@ def test_transform_matches_reference_at_scan_size_base_three():
     c = mahler_coeffs(e, 3, 2048, 48)
     row = tabulate(e, 3, 2049, 48)
     assert list(c.residues) == reference_differences(list(row), 3**48)
+
+
+def test_transform_leaves_no_cyclic_garbage():
+    # the transform's recursive closure is unlinked when it returns, so its closures and
+    # kernels go by reference counting; the first call warms the map's caches
+    e = parse_map("sigma(x^3+1)")
+    mahler_coeffs(e, 3, 200, 16)
+    gc.collect()
+    gc.disable()
+    try:
+        mahler_coeffs(e, 3, 200, 16)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_transform_kernels_live_for_one_call():
@@ -315,6 +331,26 @@ def test_scan_row_skips_its_top_products(monkeypatch):
     c = mahler_coeffs(parse_map("sigma(x^2+x+1)"), 2, 4096, 64)
     assert c.residues[:3] == (0, 1, 1) and not any(c.residues[3:])
     assert 4 in lengths and 1025 not in lengths
+
+
+def test_a_failed_head_test_replaces_the_top_product(monkeypatch):
+    # the head's polynomial but for one inner point passes the last-point probe and fails
+    # the head test; the test's (d+1)-th differences then give the h-th ones by an
+    # (h - d)-slot kernel, so the (h+1)-slot kernel is never packed
+    lengths = []
+    pack = mahler._pack
+    monkeypatch.setattr(
+        mahler, "_pack", lambda values, width: lengths.append(len(values)) or pack(values, width)
+    )
+    n, d, q = 200, 20, 3**33
+    h = _split_point(n)
+    assert mahler._worth_checking(d, h) and _split_point(n - h) < h
+    rng = random.Random(1)
+    a = {0: rng.randrange(q), d // 2: rng.randrange(q), d: rng.randrange(1, q)}
+    row = [sum(c * math.comb(j, m) for m, c in a.items()) % q for j in range(n)]
+    row[150] = (row[150] + 1) % q
+    assert mahler._differences(row, q) == reference_differences(row, q)
+    assert h - d in lengths and h + 1 not in lengths
 
 
 def test_polynomial_row_is_cut_at_its_degree(monkeypatch):

@@ -59,14 +59,18 @@ class MahlerCoeffs(Record):
         return self.p ** self.precision
 
     @cached_property
+    def _orders(self) -> tuple[int, ...]:
+        """The valuation of every coefficient as an int, K for a zero residue.  Residues are
+        reduced mod p**K, so only 0 vanishes at working precision, and any other is below K."""
+        p, K = self.p, self.precision
+        return tuple(_count_factors(r, p) if r else K for r in self.residues)
+
+    @cached_property
     def valuations(self) -> tuple[Valuation, ...]:
-        """The valuation of every coefficient, computed once; equal ones share one object.
-        Residues are reduced mod p**K, so only 0 vanishes at working precision."""
-        p = self.p
-        counts = [_count_factors(r, p) if r else None for r in self.residues]
-        shared = {v: Valuation.exactly(v) for v in set(counts) - {None}}
-        shared[None] = Valuation.at_least(self.precision)
-        return tuple(map(shared.__getitem__, counts))
+        """The valuation of every coefficient, computed once; equal ones share one object."""
+        shared = {v: Valuation.exactly(v) for v in set(self._orders)}
+        shared[self.precision] = Valuation.at_least(self.precision)
+        return tuple(map(shared.__getitem__, self._orders))
 
     def valuation(self, m: int) -> Valuation:
         return self.valuations[m]
@@ -218,7 +222,7 @@ def _differences(row, q: int) -> list[int]:
         # before its (d+1)-th differences are read over the tail
         if _worth_checking(d, h) and sum(map(mul, head, _binomials(n - 1, d))) % q == row[-1]:
             data = product(d + 1, packed, n)
-            if not any(slots(data, h, n)):
+            if _vanishes(data[h * width : n * width], width, q):
                 return head + [0] * (n - h)
             # the test's Delta^(d+1) row(j), j < n - d - 1, are not wasted: Delta^h row is
             # their (h - d - 1)-th differences, a product by a smaller kernel than the top one
@@ -241,8 +245,21 @@ def _worth_checking(d: int, h: int) -> bool:
     pass saves at least a quarter of the top product: x <= 3/4, i.e. (d + 2) / (h + 1) <= 0.61.
     A failed test then costs x + ((h - d) / (h + 1))^e <= 2^(1 - e), about 4/3, of the top
     product in this estimate.  Past the share a pass saves little, and trying the test on every
-    row made ``sigma(x)`` at p = 2, K = 2000, 4097 points slower (measured)."""
-    return 4 * (d + 2) ** (math.log2(3) - 1) <= 3 * (h + 1) ** (math.log2(3) - 1)
+    row made ``sigma(x)`` at p = 2, K = 2000, 4097 points slower (measured).  A zero head
+    (d = -1) is never tested: an all-zero row has returned before, so the tail cannot vanish."""
+    return d >= 0 and 4 * (d + 2) ** (math.log2(3) - 1) <= 3 * (h + 1) ** (math.log2(3) - 1)
+
+
+def _vanishes(data: bytes, width: int, q: int) -> bool:
+    """Whether every little-endian slot of width bytes in data is 0 mod q.  For q = 2**K it is
+    one AND of data, read as one integer, with q - 1 in every slot: O(len(data)) at any K.  For
+    odd q each slot is read and reduced.  One long division of data by q would be exact too, but
+    it measured 2x slower than the slot read at p = 3, K = 1000 (README, Mahler transform)."""
+    if q & (q - 1):
+        cut = range(0, len(data), width)
+        return not any(int.from_bytes(data[i : i + width], "little") % q for i in cut)
+    mask = (q - 1).to_bytes(width, "little") * (len(data) // width)
+    return not int.from_bytes(data, "little") & int.from_bytes(mask, "little")
 
 
 def _binomials(top: int, last: int):
@@ -275,26 +292,25 @@ class _Scan:
         self.violation: Verdict | None = None
         self.undecided: Verdict | None = None
 
-    def require_valuations(self, requirements, condition, definitive=False):
-        """Require p**req | a_m for each (m, req); ``condition(m, req)`` names a failed clause.
-        The verdict reports only the first violation, so the scan stops there."""
+    def require_runs(self, runs, condition, definitive=False):
+        """Require p**req | a_m on each run lo <= m < hi of one req (lo < hi, runs in order of m);
+        ``condition(m, req)`` names a failed clause.  A run fails first at its first valuation
+        below min(req, K), found by one pass over a slice of the valuations as ints, where a zero
+        residue reads K; if req > K, a zero residue before that, at lo, is undecidable.  The
+        verdict reports only the first violation, so the scan stops there."""
         if self.violation is not None:
             return
-        valuations = self.c.valuations  # read once: a cached_property leaves c slow to read
-        for m, required in requirements:
-            v = valuations[m]
-            if required <= v.value:
-                continue
-            if v.exact:
-                self.violation = Verdict(
-                    "violated_at", self.c.max_index, m, condition(m, required), f"valuation {v}",
-                    definitive, note=self.note,
-                )
+        K = self.c.precision
+        orders = self.c._orders  # read once: a cached_property leaves c slow to read
+        for lo, hi, required in runs:
+            if required > K and orders[lo] == K:
+                self.short(lo, condition(lo, required), "")
+            window, bar = orders[lo:hi], min(required, K)
+            if min(window) < bar:
+                m = lo + list(map(bar.__gt__, window)).index(True)
+                v = Valuation.exactly(orders[m])
+                self.require(False, m, condition(m, required), f"valuation {v}", definitive)
                 return
-            if self.undecided is None:
-                self.undecided = Verdict(
-                    "undecidable_at", self.c.max_index, m, condition(m, required), note=self.note
-                )
 
     def reaches(self, m: int, condition: str) -> bool:
         """Whether a_m is known: the coefficients reach index m, or the row is total, so
@@ -306,8 +322,8 @@ class _Scan:
         return False
 
     def short(self, m: int, condition: str, observed: str) -> None:
-        """``condition`` is undecidable at m for the shortfall ``observed``, below any violation
-        already found; the check stops scanning there."""
+        """``condition`` is undecidable at m for the shortfall ``observed`` (none: a valuation
+        past working precision), below any violation, and below an earlier undecidable."""
         if self.undecided is None:
             self.undecided = Verdict(
                 "undecidable_at", self.c.max_index, m, condition, observed, note=self.note
@@ -338,35 +354,39 @@ def _block(p: int, n: int) -> int:
     return p**n
 
 
-def _logs(start: int, stop: int, base: int):
-    """(m, floor(log_base m)) for 1 <= start <= m < stop, by a threshold raised as m grows."""
-    e, threshold = 0, base
-    for m in range(start, stop):
-        while threshold <= m:
+def _log_runs(start: int, stop: int, base: int):
+    """(lo, hi, e) for the runs lo <= m < hi that cover 1 <= start <= m < stop, on each of
+    which floor(log_base m) = e: the runs end at the powers of base."""
+    e, edge = 0, base
+    while start < stop:
+        while edge <= start:
             e += 1
-            threshold *= base
-        yield m, e
+            edge *= base
+        yield start, min(edge, stop), e
+        start = edge
 
 
 def check_bernoulli_properties(c: MahlerCoeffs, n: int) -> Verdict:
     """Structural properties of the n-fold digit shift's coefficients:
     zero below p**n, one at p**n, and p**j dividing a_m once
     m > j*p**n - j + 1."""
-    M, block = c.max_index, _block(c.p, n)
+    M, K, block = c.max_index, c.precision, _block(c.p, n)
     scan = _Scan(c)
-    for m in range(min(block, M + 1)):
-        scan.require(
-            c.residues[m] == 0, m, f"a_{m} = 0 for m < p^{n}", f"a_{m} = {c.signed(m)}"
-        )
+    m = next(compress(range(block), c.residues[:block]), None)  # the first nonzero a_m, m < p^n
+    if m is not None:
+        scan.require(False, m, f"a_{m} = 0 for m < p^{n}", f"a_{m} = {c.signed(m)}")
     clause = f"a_{{p^{n}}} = 1"
     if not scan.reaches(block, clause):
         return scan.verdict()
     scan.require(c.residue(block) == 1, block, clause, f"a_{block} = {c.signed(block)}")
-    # largest j with m > j*(p^n - 1) + 1, restricted to j <= K
-    scan.require_valuations(
-        ((m, min(-(-(m - 1) // (block - 1)) - 1, c.precision)) for m in range(2, M + 1)),
-        lambda m, j: f"p^{j} | a_{m} (m > {j}*p^{n} - {j} + 1)",
+    # the largest j with m > j*(p^n - 1) + 1, up to K, is constant on runs of b = p^n - 1
+    # indices from m = 2; the run of j = K reaches M
+    b = block - 1
+    runs = (
+        (j * b + 2, M + 1 if j == K else min(j * b + b + 2, M + 1), j)
+        for j in range(min(K, (M - 2) // b) + 1)
     )
+    scan.require_runs(runs, lambda m, j: f"p^{j} | a_{m} (m > {j}*p^{n} - {j} + 1)")
     return scan.verdict()
 
 
@@ -379,7 +399,7 @@ def check_lipschitz_mp(c: MahlerCoeffs) -> Verdict:
     if not scan.reaches(1, clause):
         return scan.verdict()
     scan.require(c.residue(1) % p != 0, 1, clause, f"a_1 = {c.signed(1)}")
-    scan.require_valuations(((m, e + 1) for m, e in _logs(2, M + 1, p)), _DIVIDES)
+    scan.require_runs(((lo, hi, e + 1) for lo, hi, e in _log_runs(2, M + 1, p)), _DIVIDES)
     return scan.verdict(total=c.total)
 
 
@@ -414,8 +434,10 @@ def check_lipschitz_ergodic(c: MahlerCoeffs, strict_m1: bool = False) -> Verdict
         c.residue(1) % mod == 1, 1, clause, f"a_1 = {c.signed(1) % mod} (mod {mod})", definitive
     )
     start = 1 if strict_m1 else 2
-    scan.require_valuations(
-        ((m - 1, e + 1) for m, e in _logs(start + 1, M + 2, p)), _DIVIDES, definitive
+    scan.require_runs(
+        ((lo - 1, hi - 1, e + 1) for lo, hi, e in _log_runs(start + 1, M + 2, p)),
+        _DIVIDES,
+        definitive,
     )
     return scan.verdict(total=c.total)
 
@@ -425,8 +447,8 @@ def check_complex_shift_bound(c: MahlerCoeffs, n: int) -> Verdict:
     |a_m| <= p**(1 - floor(log_{p^n} m)) for every m >= 1."""
     M, base = c.max_index, _block(c.p, n)
     scan = _Scan(c)
-    scan.require_valuations(
-        ((m, e - 1) for m, e in _logs(1, M + 1, base)),
+    scan.require_runs(
+        ((lo, hi, e - 1) for lo, hi, e in _log_runs(1, M + 1, base)),
         lambda m, req: f"|a_{m}| <= p^(1 - log_{{p^{n}}} {m})",
     )
     return scan.verdict(total=c.total)
@@ -447,7 +469,7 @@ def check_cs_mp(c: MahlerCoeffs, n: int) -> Verdict:
         clause,
         f"a_{block} = {c.signed(block)}",
     )
-    scan.require_valuations(_logs(block + 1, M + 1, block), _DIVIDES)
+    scan.require_runs(_log_runs(block + 1, M + 1, block), _DIVIDES)
     return scan.verdict(total=c.total)
 
 
@@ -473,5 +495,5 @@ def check_cs_ergodic(c: MahlerCoeffs, n: int) -> Verdict:
         f"a_1 + ... + a_{{p^{n} - 1}} = 0 (mod p)",
         f"sum = {head} (mod {p})",
     )
-    scan.require_valuations(_logs(block + 1, M + 1, block), _DIVIDES)
+    scan.require_runs(_log_runs(block + 1, M + 1, block), _DIVIDES)
     return scan.verdict(total=c.total)

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -353,6 +354,56 @@ def test_a_failed_head_test_replaces_the_top_product(monkeypatch):
     assert h - d in lengths and h + 1 not in lengths
 
 
+def test_a_zero_head_is_not_tested(monkeypatch):
+    # a zero head (d = -1) and a zero last point pass the probe, but the row is not all zero,
+    # so the head test would fail: it is not tried, and no 1-slot kernel is packed for it
+    lengths = []
+    pack = mahler._pack
+    monkeypatch.setattr(
+        mahler, "_pack", lambda values, width: lengths.append(len(values)) or pack(values, width)
+    )
+    n, q = 200, 2**64
+    row = [0] * n
+    row[150] = 12345
+    assert not any(row[: _split_point(n)]) and row[-1] == 0
+    assert mahler._differences(list(row), q) == reference_differences(row, q)
+    assert 1 not in lengths
+
+
+def _slot_strings(K, rng):
+    """(width, slots) for slot strings that vanish mod 2**K but for at most one slot, at the
+    first, last or a middle position.  Widths are the fewest bytes that hold K bits, one more,
+    and twice as many.  A bad slot is nonzero mod 2**K only in the partial byte (or, at a whole
+    number of bytes, in the top byte of q - 1), only at bit K - 1, or anywhere; a slot that
+    vanishes is 0 or nonzero only above bit K."""
+    full = -(-K // 8)
+    top = 8 * (K // 8) if K % 8 else 8 * full - 8  # the lowest bit of q - 1's top byte
+    for width in (full, full + 1, 2 * full):
+        above = 256**width >> K  # the values above bit K a slot can hold, plus one
+        zero = lambda: rng.randrange(above) << K if above > 1 and rng.randrange(2) else 0
+        bad = (
+            lambda: rng.randrange(1, 1 << (K - top)) << top | zero(),
+            lambda: 1 << (K - 1),
+            lambda: rng.randrange(1, 256**width),
+        )
+        for count in (1, 2, 3, 5):
+            yield width, [zero() for _ in range(count)]
+            for make in bad:
+                for at in {0, count // 2, count - 1}:
+                    slots = [zero() for _ in range(count)]
+                    slots[at] = make()
+                    yield width, slots
+
+
+@pytest.mark.parametrize("K", [1, 7, 8, 9, 33, 61, 64, 70])
+def test_two_adic_zero_test_matches_the_slot_read(K):
+    q = 2**K
+    rng = random.Random(K)
+    for width, slots in _slot_strings(K, rng):
+        data = b"".join(v.to_bytes(width, "little") for v in slots)
+        assert mahler._vanishes(data, width, q) == all(v % q == 0 for v in slots), (width, slots)
+
+
 def test_polynomial_row_is_cut_at_its_degree(monkeypatch):
     lengths = []
     differences = mahler._differences
@@ -477,17 +528,117 @@ def test_scan_stops_at_the_first_violation():
     c = coeffs_of("x^2", 2, M=12)  # a_0 = 0 is past precision, a_1 = 1 is a unit
     read = []
 
-    def requirements():
-        for m in range(13):
-            read.append(m)
-            yield m, 1
+    def runs():
+        for run in ((0, 1, 1), (1, 4, 1), (4, 8, 1), (8, 13, 1)):
+            read.append(run)
+            yield run
 
     scan = mahler._Scan(c)
-    scan.require_valuations(requirements(), mahler._DIVIDES)
-    assert read == [0, 1]
+    scan.require_runs(runs(), mahler._DIVIDES)
+    assert read == [(0, 1, 1), (1, 4, 1)]
     assert scan.verdict().m == 1 and scan.undecided is None
-    scan.require_valuations(requirements(), mahler._DIVIDES)
-    assert read == [0, 1]
+    scan.require_runs(runs(), mahler._DIVIDES)
+    assert read == [(0, 1, 1), (1, 4, 1)]
+
+
+def _logs(start, stop, base):
+    """(m, floor(log_base m)) for 1 <= start <= m < stop, one index at a time."""
+    out = []
+    for m in range(start, stop):
+        e = 0
+        while base ** (e + 1) <= m:
+            e += 1
+        out.append((m, e))
+    return out
+
+
+def _per_index_requirements(check, c, n, strict_m1):
+    """The (m, required) list of each check, one pair per coefficient: the old scan's input."""
+    p, M, K, block = c.p, c.max_index, c.precision, c.p**n
+    return {
+        "bernoulli": [(m, min(-(-(m - 1) // (block - 1)) - 1, K)) for m in range(2, M + 1)],
+        "lipschitz-mp": [(m, e + 1) for m, e in _logs(2, M + 1, p)],
+        "lipschitz-ergodic": [(m - 1, e + 1) for m, e in _logs(2 if strict_m1 else 3, M + 2, p)],
+        "cs": [(m, e - 1) for m, e in _logs(1, M + 1, block)],
+        "cs-mp": _logs(block + 1, M + 1, block),
+        "cs-ergodic": _logs(block + 1, M + 1, block),
+    }[check]
+
+
+def _per_index_scan(scan, requirements, condition, definitive=False):
+    """The scan the block scan replaced: p**req | a_m for each (m, req) in order, reading one
+    valuation at a time; the first violation ends it, the first undecidable one is kept."""
+    if scan.violation is not None:
+        return
+    for m, required in requirements:
+        v = scan.c.valuations[m]
+        if required <= v.value:
+            continue
+        if v.exact:
+            scan.violation = Verdict(
+                "violated_at", scan.c.max_index, m, condition(m, required), f"valuation {v}",
+                definitive, note=scan.note,
+            )
+            return
+        if scan.undecided is None:
+            scan.undecided = Verdict(
+                "undecidable_at", scan.c.max_index, m, condition(m, required), note=scan.note
+            )
+
+
+@st.composite
+def _check_rows(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    K = draw(st.integers(1, 8))
+    M = draw(st.integers(0, 80))
+    # a unit times p^j, or 0 at j = K: valuations on both sides of every requirement
+    orders = [b % (K + 1) for b in draw(st.binary(min_size=M + 1, max_size=M + 1))]
+    rng = draw(st.randoms(use_true_random=False))
+    units = [rng.randrange(1, p ** (K - j)) if j < K else 0 for j in orders]
+    residues = tuple(p**j * (u + (u % p == 0)) if j < K else 0 for j, u in zip(orders, units))
+    degree = draw(st.sampled_from([None, M, M + 5]))
+    # runs for the scan itself: a cut of 0..M, each part with a requirement up to K + 2
+    cuts = sorted(draw(st.sets(st.integers(1, M), max_size=6))) if M else []
+    edges = [0] + cuts + [M + 1]
+    runs = [(lo, hi, draw(st.integers(0, K + 2))) for lo, hi in zip(edges, edges[1:])]
+    return MahlerCoeffs(p, K, residues, degree), draw(st.integers(1, 3)), draw(st.booleans()), runs
+
+
+@settings(max_examples=250, deadline=None)
+@given(_check_rows())
+def test_block_scan_matches_the_per_index_scan(case):
+    c, n, strict_m1, runs = case
+    args = types.SimpleNamespace(n=n, strict_m1=strict_m1)
+    block_scan = mahler._Scan.require_runs
+    for name, check in cli._CHECKS.items():
+        requirements = _per_index_requirements(name, c, n, strict_m1)
+        read = []
+
+        def reading(scan, runs, condition, definitive=False):
+            runs = list(runs)
+            read.append([(m, required) for lo, hi, required in runs for m in range(lo, hi)])
+            block_scan(scan, runs, condition, definitive)
+
+        def per_index(scan, runs, condition, definitive=False):
+            _per_index_scan(scan, requirements, condition, definitive)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mahler._Scan, "require_runs", reading)
+            verdict = check(c, args).to_json()
+            patch.setattr(mahler._Scan, "require_runs", per_index)
+            assert verdict == check(c, args).to_json(), name
+        # the runs cover the per-index list exactly, unless the check returned before its scan
+        assert read in ([], [requirements]), name
+    # the Bernoulli head: the first nonzero a_m below p^n is the violation
+    first = next((m for m in range(min(c.p**n, c.max_index + 1)) if c.residues[m]), None)
+    if first is not None:
+        assert check_bernoulli_properties(c, n).m == first
+    # the scan's own state, the undecidable kept under a violation too
+    scan, reference = mahler._Scan(c), mahler._Scan(c)
+    scan.require_runs(runs, mahler._DIVIDES)
+    per_index = [(m, required) for lo, hi, required in runs for m in range(lo, hi)]
+    _per_index_scan(reference, per_index, mahler._DIVIDES)
+    assert (scan.violation, scan.undecided) == (reference.violation, reference.undecided)
 
 
 # --- complex-shift conditions ------------------------------------------------------

@@ -13,14 +13,17 @@ rasters are plain PGM (P2) with 1 = covered and row 0 at the top.
 """
 from __future__ import annotations
 
+from array import array
 from collections import Counter
+from collections.abc import Iterable
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from typing import TextIO
 
 from ._record import Record
 from .errors import BudgetError
-from .mapdsl import DEFAULT_BUDGET, MapExpr, _evaluator, _table_size, tabulate
+from .mapdsl import _BLOCK, DEFAULT_BUDGET, MapExpr, _blocks, _evaluator, _table_size
 
 __all__ = [
     "BoxCount",
@@ -44,12 +47,14 @@ __all__ = [
 class ReducedLevelMap(Record):
     """A finite reduction of the map: the full table of a function from
     Z/p**domain_digits to Z/p**codomain_digits.  ``check_range=False``
-    skips the scan of the values, for a table reduced by construction."""
+    skips the scan of the values, for a table reduced by construction.  ``reduced_map``
+    and ``restrict`` give an array (``_words``): it equals arrays of the same values, not
+    tuples, and does not hash."""
 
     p: int
     domain_digits: int
     codomain_digits: int
-    table: tuple[int, ...]
+    table: array | tuple[int, ...]
 
     def __post_init__(self, check_range: bool = True) -> None:
         if len(self.table) != self.p ** self.domain_digits:
@@ -68,10 +73,11 @@ class ReducedLevelMap(Record):
         this table: its first p**domain_digits entries, reduced (at this
         table's own codomain they already are)."""
         self._require_digits(domain_digits, codomain_digits)
-        table = self.table[: self.p ** domain_digits]
-        if codomain_digits < self.codomain_digits:
-            table = tuple(map((self.p ** codomain_digits).__rmod__, table))
-        return _level(self.p, domain_digits, codomain_digits, table)
+        t, size, q = self.table, self.p**domain_digits, self.p**codomain_digits
+        if codomain_digits == self.codomain_digits:
+            return _level(self.p, domain_digits, codomain_digits, t[:size])
+        blocks = ([v % q for v in t[i : min(i + _BLOCK, size)]] for i in range(0, size, _BLOCK))
+        return _level(self.p, domain_digits, codomain_digits, _words(q, blocks))
 
     def _require_digits(self, domain_digits: int, codomain_digits: int) -> None:
         if not (
@@ -86,8 +92,20 @@ class ReducedLevelMap(Record):
 
 
 def _level(p: int, domain_digits: int, codomain_digits: int, table) -> ReducedLevelMap:
-    # every table passed here, from tabulate or restrict, is reduced mod p**codomain_digits
+    # every table passed here, from reduced_map or restrict, is reduced mod p**codomain_digits
     return ReducedLevelMap(p, domain_digits, codomain_digits, table, check_range=False)
+
+
+def _words(modulus: int, blocks: Iterable[list[int]]) -> array | tuple[int, ...]:
+    """The values of ``blocks``, all below ``modulus``, filled a block at a time into one array
+    of the narrowest unsigned typecode that holds modulus - 1; a tuple past 64 bits."""
+    for code in "BHIQ":
+        if modulus - 1 < 256 ** array(code).itemsize:
+            table = array(code)
+            for block in blocks:
+                table.fromlist(block)
+            return table
+    return tuple(chain.from_iterable(blocks))
 
 
 def reduced_map(
@@ -96,8 +114,8 @@ def reduced_map(
     """The map on Z/p**domain_digits, reduced mod p**codomain_digits; every
     oracle table is this one or a ``restrict`` of it.  Inputs of more than MAX_DIGITS digits
     are refused before p**domain_digits is computed."""
-    table = tabulate(e, p, _table_size(p, domain_digits), codomain_digits, budget)
-    return _level(p, domain_digits, codomain_digits, table)
+    blocks = _blocks(e, p, _table_size(p, domain_digits), codomain_digits, budget)
+    return _level(p, domain_digits, codomain_digits, _words(p**codomain_digits, blocks))
 
 
 def level_map(
@@ -188,34 +206,30 @@ def cycle_report(m: ReducedLevelMap) -> CycleReport:
         raise ValueError("cycle detection needs an endomap-form table")
     table = m.table
     size = len(table)
-    UNSEEN, ON_PATH, DONE = 0, 1, 2
-    state = [UNSEEN] * size
-    dist = [0] * size
+    seen = bytearray(size)  # 1 once a walk has reached the node
+    done = _words(size + 1, [[0]]) * size  # 1 + the node's distance to its cycle, once known
     cycles: list[tuple[int, ...]] = []
     for start in range(size):
-        if state[start] != UNSEEN:
+        if seen[start]:
             continue
         path: list[int] = []
         node = start
-        while state[node] == UNSEEN:
-            state[node] = ON_PATH
+        while not seen[node]:
+            seen[node] = 1
             path.append(node)
             node = table[node]
-        if state[node] == ON_PATH:
+        if done[node]:  # the path runs into an earlier walk
+            tail, base = path, done[node]
+        else:  # the path ends in a new cycle from node on, kept without a copy
             at = path.index(node)
-            cycle = tuple(path[at:])
-            cycles.append(cycle)
-            for u in cycle:
-                state[u] = DONE
-                dist[u] = 0
-            tail = path[:at]
-        else:
-            tail = path
-        base = dist[node] if state[node] == DONE else 0
-        for offset, u in enumerate(reversed(tail), start=1):
-            dist[u] = base + offset
-            state[u] = DONE
-    return CycleReport(tuple(cycles), dict(sorted(Counter(dist).items())))
+            tail, base = path[:at], 1
+            del path[:at]
+            cycles.append(tuple(path))
+            for u in path:
+                done[u] = 1
+        for d, u in enumerate(reversed(tail), start=base + 1):
+            done[u] = d
+    return CycleReport(tuple(cycles), {d - 1: n for d, n in sorted(Counter(done).items())})
 
 
 class OrbitResult(Record):
@@ -313,16 +327,13 @@ class BoxCount(Record):
         return Fraction(self.covered, self.grid * self.grid)
 
 
-_CSV_BATCH = 4096  # CSV lines joined per write, so the stream path holds O(1) lines
-
-
 def box_count(ps: PlotSet, grid: int, csv: TextIO | None = None) -> BoxCount:
     """Grid cells holding at least one plot point, in one walk of the table.
 
     Cell assignment is exact: a point lands in cell floor(coord * grid),
     computed on its integer numerator over the common denominator.  Given a
     text stream ``csv``, the same walk writes the CSV point dump to it,
-    sorted by x then y, in lowest terms.
+    sorted by x then y, in lowest terms, one write per window of ``_BLOCK`` x.
     """
     if grid < 1:
         raise ValueError("grid size must be >= 1")
@@ -330,45 +341,45 @@ def box_count(ps: PlotSet, grid: int, csv: TextIO | None = None) -> BoxCount:
         raise BudgetError(f"grid size {grid} exceeds the cap of {DEFAULT_BUDGET} cells")
     p, t = ps.m.p, ps.m.table
     x_den, y_den = ps.denominators
-    cells = bytearray(grid * grid)
-    points, lines = 0, (["xnum,xden,ynum,yden\n"] if csv is not None else [])
+    cells, points = bytearray(grid * grid), 0
     # the levels below kmax as (scale, modulus), finest first: those above x are a prefix
     scales = [(y_den // p**k, p**k) for k in reversed(ps.k_values[:-1])]
     xtail, ytail = f",{x_den},", f",{y_den}\n"
-    for x in range(x_den if ps.k_values else 0):
-        y = t[x] % y_den
-        i = x * grid // x_den
-        if x % p:  # only level kmax: x is in lowest terms, and so is y unless p | y
-            points += 1
-            cells[y * grid // y_den * grid + i] = 1
-            if csv is None:
-                continue
-            if y % p:
-                lines.append(f"{x}{xtail}{y}{ytail}")
-            else:
-                g = gcd(y, y_den)
-                lines.append(f"{x}{xtail}{y // g},{y_den // g}\n")
-        else:
-            ys = {y}
+    if csv is not None:
+        csv.write("xnum,xden,ynum,yden\n")
+    for start in range(0, x_den if ps.k_values else 0, _BLOCK):
+        xs = range(start, min(start + _BLOCK, x_den))
+        ys = [v % y_den for v in t[xs.start : xs.stop]]  # level kmax: a point at every x
+        points += len(xs)
+        for c in [y * grid // y_den * grid + x * grid // x_den for x, y in zip(xs, ys)]:
+            cells[c] = 1
+        first, merged = -start % p, []  # the x divisible by p, xs[first::p], merge their levels
+        for x, y in zip(xs[first::p], ys[first::p]):
+            column = [y]
             for scale, modulus in scales:
                 if x % scale:
                     break
-                ys.add(t[x // scale] % modulus * scale)
-            ys = sorted(ys)
-            points += len(ys)
-            for y in ys:
-                cells[y * grid // y_den * grid + i] = 1
+                if (u := t[x // scale] % modulus * scale) not in column:
+                    column.append(u)
+                    points += 1
+                    cells[u * grid // y_den * grid + x * grid // x_den] = 1
             if csv is not None:
+                column.sort()
                 g = gcd(x, x_den)
-                head = f"{x // g},{x_den // g},"
-                for y in ys:
+                head, text = f"{x // g},{x_den // g},", ""
+                for y in column:
                     g = gcd(y, y_den)
-                    lines.append(f"{head}{y // g},{y_den // g}\n")
-        if len(lines) >= _CSV_BATCH:
-            csv.write("".join(lines))
-            lines.clear()
-    if lines:
-        csv.write("".join(lines))
+                    text += f"{head}{y // g},{y_den // g}\n"
+                merged.append(text)
+        if csv is not None:  # an x prime to p is in lowest terms, and so is its y unless p | y
+            rows = [None] * len(xs)
+            for at in [(first + r) % p for r in range(1, p)]:
+                rows[at::p] = [
+                    f"{x}{xtail}{y}{ytail}" if y % p else f"{x}{xtail}{y // (g := gcd(y, y_den))},{y_den // g}\n"
+                    for x, y in zip(xs[at::p], ys[at::p])
+                ]
+            rows[first::p] = merged
+            csv.write("".join(rows))
     return BoxCount(grid, bytes(cells), points)
 
 

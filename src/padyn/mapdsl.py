@@ -26,7 +26,7 @@ output digits their input certifies).  Its work per point is charged to the budg
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from functools import cached_property
 from itertools import chain, repeat
 from math import comb
@@ -634,21 +634,24 @@ def eval_map(e: MapExpr, x: PadicApprox) -> PadicApprox:
     return PadicApprox(x.p, digits, value)
 
 
+def _blocks(e: MapExpr, p: int, size: int, digits: int, budget: int | None) -> Iterator[list[int]]:
+    """``tabulate``'s values, a list per ``_BLOCK`` lifts, each evaluated when read;
+    the arguments and the budget are checked at the call."""
+    if size < 1 or digits < 1:
+        raise ValueError("need a table size >= 1 and an output digit count >= 1")
+    column = _evaluator(e, p, digits, size, size, budget)
+    return (column(list(range(start, min(start + _BLOCK, size)))) for start in range(0, size, _BLOCK))
+
+
 def tabulate(
     e: MapExpr, p: int, size: int, digits: int, budget: int | None = None
 ) -> tuple[int, ...]:
     """Values f(i) mod p**digits for i in range(size), at zero-padded lifts.
 
-    This is the one enumeration of a map over residues: every oracle
-    slices and reduces a table made here.  Its ``size`` entries are charged
-    to the budget at the map's work per point, and the map is evaluated a
-    block of ``_BLOCK`` lifts at a time.
+    ``dynamics.reduced_map`` keeps the same blocks in an array.  The ``size``
+    entries are charged to the budget at the map's work per point.
     """
-    if size < 1 or digits < 1:
-        raise ValueError("need a table size >= 1 and an output digit count >= 1")
-    column = _evaluator(e, p, digits, size, size, budget)
-    blocks = (column(list(range(start, min(start + _BLOCK, size)))) for start in range(0, size, _BLOCK))
-    return tuple(chain.from_iterable(blocks))
+    return tuple(chain.from_iterable(_blocks(e, p, size, digits, budget)))
 
 
 def _table_size(p: int, d: int) -> int:

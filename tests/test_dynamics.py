@@ -1,8 +1,10 @@
 import io
 import tracemalloc
+from array import array
 from fractions import Fraction
 from math import gcd
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import CORPUS
 from test_kernel import EXPRESSIONS
 
-from padyn import dynamics
+from padyn import cli, dynamics
 from padyn.dynamics import (
     BoxCount,
     PlotSet,
@@ -26,7 +28,7 @@ from padyn.dynamics import (
     to_pgm,
 )
 from padyn.errors import BudgetError, PadynError
-from padyn.mapdsl import eval_map, lookahead_bound, parse_map
+from padyn.mapdsl import eval_map, lookahead_bound, parse_map, tabulate
 from padyn.padic import PadicApprox
 
 
@@ -60,17 +62,17 @@ def covered_cells(bc: BoxCount) -> frozenset[tuple[int, int]]:
 
 def test_level_map_shift():
     lm = level_map(parse_map("sigma(x)"), 2, 1, 2)
-    assert lm.table == (0, 0, 1, 1)
+    assert tuple(lm.table) == (0, 0, 1, 1)
     assert (lm.domain_digits, lm.codomain_digits) == (2, 1)
 
 
 def test_level_map_increment():
-    assert level_map(parse_map("x+1"), 2, 1, 2).table == (1, 0, 1, 0)
+    assert tuple(level_map(parse_map("x+1"), 2, 1, 2).table) == (1, 0, 1, 0)
 
 
 def test_level_map_binomial():
     lm = level_map(parse_map("C(x,2)"), 2, 1, 3)
-    assert lm.table == (0, 0, 1, 3, 2, 2, 3, 1)
+    assert tuple(lm.table) == (0, 0, 1, 3, 2, 2, 3, 1)
 
 
 def test_level_map_needs_census_depth():
@@ -97,7 +99,7 @@ def test_restrict_matches_direct_evaluation(corpus_texts, p, top_digits):
                     for i in range(p**d)
                 )
                 lm = top.restrict(d, c)
-                assert lm.table == direct, (text, d, c)
+                assert tuple(lm.table) == direct, (text, d, c)
                 assert lm.form == ("endomap" if c == d else "census")
 
 
@@ -121,6 +123,96 @@ def test_constructor_checks_length_and_range(table, message):
     with pytest.raises(ValueError, match=message):
         ReducedLevelMap(2, 2, 2, table)
     assert ReducedLevelMap(2, 2, 2, (0, 1, 2, 3)).table == (0, 1, 2, 3)
+
+
+# --- tables as machine words -------------------------------------------------
+
+# codomain digits at p = 2 -> the itemsize of the table (None: a tuple, past 64 bits)
+WORD_SIZES = [(8, 1), (9, 2), (16, 2), (17, 4), (32, 4), (33, 8), (64, 8), (65, None)]
+
+
+@pytest.mark.parametrize("digits, itemsize", WORD_SIZES)
+def test_tables_take_the_narrowest_word(digits, itemsize):
+    # -x-1 is p**digits - 1 at x = 0: every table holds its largest value
+    e = parse_map("-x-1")
+    for m in (reduced_map(e, 2, 3, digits), reduced_map(e, 2, 3, 65).restrict(3, digits)):
+        if itemsize is None:
+            assert type(m.table) is tuple
+        else:
+            assert isinstance(m.table, array) and m.table.itemsize == itemsize
+        assert tuple(m.table) == tabulate(e, 2, 8, digits)
+        assert m.table[0] == 2**digits - 1
+
+
+def test_a_word_holds_the_largest_value_exactly():
+    # p**1 - 1 = 256 = 2**8 at p = 257: one past what a byte holds
+    m = reduced_map(parse_map("-x-1"), 257, 1, 1)
+    assert m.table.itemsize == 2 and m.table[0] == 256
+    assert tuple(m.table) == tabulate(parse_map("-x-1"), 257, 257, 1)
+
+
+def test_array_tables_compare_by_values_and_do_not_hash():
+    m = reduced_map(parse_map("x+1"), 2, 2, 2)
+    assert m == ReducedLevelMap(2, 2, 2, array("Q", [1, 2, 3, 0]))
+    assert m != ReducedLevelMap(2, 2, 2, (1, 2, 3, 0))
+    with pytest.raises(TypeError):
+        hash(m)
+    # a table given as a tuple is kept, and hashes as before
+    t = ReducedLevelMap(2, 2, 2, (1, 2, 3, 0))
+    assert type(t.table) is tuple and hash(t) == hash(ReducedLevelMap(2, 2, 2, (1, 2, 3, 0)))
+
+
+def test_reduced_map_memory_is_its_words():
+    # 2^16 values below 2^16 take 2 bytes each; the slack is one block's columns of ints
+    e = parse_map("x^2+x+1")
+    tracemalloc.start()
+    try:
+        m = reduced_map(e, 2, 16, 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16 * 2 + 2**20, peak
+    assert m.table.itemsize == 2
+
+
+def test_cycle_walk_memory_per_node():
+    # beyond the report it returns, the walk holds a state byte and a distance word per
+    # node and its current path; a list each for state and distance took 16 bytes a node
+    m = reduced_map(parse_map("x^2+x+1"), 2, 16, 16)
+    tracemalloc.start()
+    try:
+        report = cycle_report(m)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.cycle_lengths == (2**15,)
+    assert peak - kept < 12 * 2**16, (peak, kept)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_array_and_tuple_tables_give_the_same_oracles(data):
+    # the analyze table and its tuple twin: the same census rows, cycles and plot bytes
+    p = data.draw(st.sampled_from(sorted(EXPRESSIONS)))
+    e = data.draw(EXPRESSIONS[p])
+    n = data.draw(st.integers(1, 2))
+    k_max = data.draw(st.integers(1, {2: 4, 3: 3, 5: 2}[p] // n))
+    grid = data.draw(st.sampled_from([1, 5, p**k_max]))
+    try:
+        top = reduced_map(e, p, max(n * k_max, n + k_max), n * k_max)
+    except PadynError:
+        return
+    twin = ReducedLevelMap(p, top.domain_digits, top.codomain_digits, tuple(top.table))
+    assert isinstance(top.table, array)
+    args = SimpleNamespace(n=n, kmax=k_max)
+    assert cli._census_section(top, args) == cli._census_section(twin, args)
+    assert cli._cycles_section(top, args) == cli._cycles_section(twin, args)
+    plots = []
+    for m in (top, twin):
+        out = io.StringIO()
+        bc = box_count(PlotSet(m, n, range(1, k_max + 1)), grid, out)
+        plots.append((bc, out.getvalue(), to_pgm(bc)))
+    assert plots[0] == plots[1]
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -178,9 +270,9 @@ def test_level_compatibility_for_zero_lookahead():
 
 
 def test_padded_endomap_examples():
-    assert padded_endomap(parse_map("x+1"), 2, 2).table == (1, 2, 3, 0)
-    assert padded_endomap(parse_map("C(x,2)"), 2, 2).table == (0, 0, 1, 3)
-    assert padded_endomap(parse_map("sigma(x)"), 2, 2).table == (0, 0, 1, 1)
+    assert tuple(padded_endomap(parse_map("x+1"), 2, 2).table) == (1, 2, 3, 0)
+    assert tuple(padded_endomap(parse_map("C(x,2)"), 2, 2).table) == (0, 0, 1, 3)
+    assert tuple(padded_endomap(parse_map("sigma(x)"), 2, 2).table) == (0, 0, 1, 1)
 
 
 def test_cycle_report_full_cycle():
@@ -470,10 +562,11 @@ def test_plot_set_constructor_sorts_and_checks_its_levels():
 
 @pytest.mark.parametrize("text, p, k_max", [("x^2+x+1", 2, 12), ("x^2+x+1", 3, 7)])
 def test_plot_walk_matches_level_set_merge_across_csv_batches(text, p, k_max):
-    # the CSV is written in batches of _CSV_BATCH lines: this dump spans three or more,
+    # the CSV is written once per window of _BLOCK x values: this walk spans two or more,
     # and p=3 has y numerators divisible by p above x prime to p
     m = reduced_map(parse_map(text), p, 1 + k_max, k_max)
-    assert to_csv(PlotSet(m, 1, range(1, k_max + 1))).count("\n") > 2 * dynamics._CSV_BATCH
+    assert to_csv(PlotSet(m, 1, range(1, k_max + 1))).count("\n") > 2 * dynamics._BLOCK
+    assert p ** (1 + k_max) > dynamics._BLOCK
     assert_walk_matches_reference(m, 1, tuple(range(1, k_max + 1)), 64)
 
 

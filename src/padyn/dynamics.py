@@ -330,10 +330,12 @@ class BoxCount(Record):
 def box_count(ps: PlotSet, grid: int, csv: TextIO | None = None) -> BoxCount:
     """Grid cells holding at least one plot point, in one walk of the table.
 
-    Cell assignment is exact: a point lands in cell floor(coord * grid),
-    computed on its integer numerator over the common denominator.  Given a
-    text stream ``csv``, the same walk writes the CSV point dump to it,
-    sorted by x then y, in lowest terms, one write per window of ``_BLOCK`` x.
+    Cell assignment is exact: a point lands in cell floor(coord * grid), computed on its
+    integer numerator over the common denominator.  Given a text stream ``csv``, the same walk
+    writes the CSV point dump to it, sorted by x then y, in lowest terms, one write per window
+    of ``_BLOCK`` x.  Level kmax is a table slice, reduced only for a wider codomain.  The x
+    that one or two levels reach take one comprehension per class r mod p * g, g = gcd(x, x_den),
+    the rest a merge loop; a y is y // g and tails[g], g = gcd(y, y_den), from a per-walk table.
     """
     if grid < 1:
         raise ValueError("grid size must be >= 1")
@@ -341,20 +343,45 @@ def box_count(ps: PlotSet, grid: int, csv: TextIO | None = None) -> BoxCount:
         raise BudgetError(f"grid size {grid} exceeds the cap of {DEFAULT_BUDGET} cells")
     p, t = ps.m.p, ps.m.table
     x_den, y_den = ps.denominators
+    k_max = max(ps.k_values, default=0)
     cells, points = bytearray(grid * grid), 0
-    # the levels below kmax as (scale, modulus), finest first: those above x are a prefix
+    # the levels below kmax as (scale, modulus), finest first, then x_den, which divides no x but 0
     scales = [(y_den // p**k, p**k) for k in reversed(ps.k_values[:-1])]
-    xtail, ytail = f",{x_den},", f",{y_den}\n"
+    (s1, m1), (s2, _) = (scales + [(x_den, 1)] * 2)[:2]
+    tails, tail = {p**v: f",{p ** (k_max - v)}\n" for v in range(k_max + 1)}, f",{y_den}\n"
+    classes = [(g, r) for g in map(p.__pow__, range(ps.n + k_max)) for r in range(g, p * g, g)]
+    classes = [(g, r) for g, r in classes if s1 <= g < s2 or g < s1 and csv is not None]
     if csv is not None:
         csv.write("xnum,xden,ynum,yden\n")
     for start in range(0, x_den if ps.k_values else 0, _BLOCK):
         xs = range(start, min(start + _BLOCK, x_den))
-        ys = [v % y_den for v in t[xs.start : xs.stop]]  # level kmax: a point at every x
+        ys = t[start : xs.stop]  # level kmax: a point at every x, already reduced at codomain kmax
+        ys = ys if ps.m.codomain_digits == k_max else [v % y_den for v in ys]
         points += len(xs)
         for c in [y * grid // y_den * grid + x * grid // x_den for x, y in zip(xs, ys)]:
             cells[c] = 1
-        first, merged = -start % p, []  # the x divisible by p, xs[first::p], merge their levels
-        for x, y in zip(xs[first::p], ys[first::p]):
+        rows = [None] * len(xs)
+        for g, r in classes:  # offsets from start, which need not be a multiple of p * g
+            at, step = (r - start) % (p * g), p * g
+            xr, ya, xt = xs[at::step], ys[at::step], f",{x_den // g},"  # x // g is over x_den // g
+            if g < s1:  # level kmax only
+                rows[at::step] = [
+                    f"{h}{xt}{y}{tail}" if y % p else f"{h}{xt}{y // (d := gcd(y, y_den))}{tails[d]}"
+                    for h, y in zip(range(xr.start // g, x_den, p), ya)
+                ]
+                continue
+            ub = [v % m1 * s1 for v in t[xr.start // s1 : -(-xr.stop // s1) : step // s1]]  # t[x // s1]
+            points += sum(map(int.__ne__, ya, ub))
+            for c in [u * grid // y_den * grid + x * grid // x_den for x, u in zip(xr, ub)]:
+                cells[c] = 1
+            if csv is not None:
+                rows[at::step] = [
+                    f"{h}{xt}{a // (d := gcd(a, y_den))}{tails[d]}"
+                    + (f"{h}{xt}{b // (d := gcd(b, y_den))}{tails[d]}" if a != b else "")
+                    for h, y, u in zip(range(xr.start // g, x_den, p), ya, ub)
+                    for a, b in [(y, u) if y < u else (u, y)]
+                ]
+        for x, y in zip(xs[-start % s2 :: s2], ys[-start % s2 :: s2]):  # the x that s2 divides
             column = [y]
             for scale, modulus in scales:
                 if x % scale:
@@ -369,16 +396,9 @@ def box_count(ps: PlotSet, grid: int, csv: TextIO | None = None) -> BoxCount:
                 head, text = f"{x // g},{x_den // g},", ""
                 for y in column:
                     g = gcd(y, y_den)
-                    text += f"{head}{y // g},{y_den // g}\n"
-                merged.append(text)
-        if csv is not None:  # an x prime to p is in lowest terms, and so is its y unless p | y
-            rows = [None] * len(xs)
-            for at in [(first + r) % p for r in range(1, p)]:
-                rows[at::p] = [
-                    f"{x}{xtail}{y}{ytail}" if y % p else f"{x}{xtail}{y // (g := gcd(y, y_den))},{y_den // g}\n"
-                    for x, y in zip(xs[at::p], ys[at::p])
-                ]
-            rows[first::p] = merged
+                    text += f"{head}{y // g}{tails[g]}"
+                rows[x - start] = text
+        if csv is not None:
             csv.write("".join(rows))
     return BoxCount(grid, bytes(cells), points)
 

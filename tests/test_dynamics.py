@@ -570,6 +570,26 @@ def test_plot_walk_matches_level_set_merge_across_csv_batches(text, p, k_max):
     assert_walk_matches_reference(m, 1, tuple(range(1, k_max + 1)), 64)
 
 
+@pytest.mark.parametrize(
+    "text, p, k_max, k_values, grid",
+    [
+        ("x^2+x+1", 3, 8, (2, 5, 8), 64),
+        ("x^2+x+1", 3, 8, (1, 2, 8), 64),
+        ("x^2+x+1", 2, 13, (1, 2, 4, 13), 64),
+        ("sigma(x^2+x+1)", 2, 14, range(1, 15), 256),
+        ("C(x,3)+x", 3, 8, range(1, 9), 243),
+    ],
+)
+def test_plot_walk_matches_level_set_merge_across_windows(text, p, k_max, k_values, grid):
+    # gapped levels: at (2, 5, 8) the third level's scale is p**3 times the second's, and at
+    # (1, 2, 8) the x that one level reaches include multiples of p; at p = 3 the windows after
+    # the first start off the multiples of p**2.  The last two are perfbench's deep-oracle
+    # plots, on the table analyze builds for them.
+    m = reduced_map(parse_map(text), p, 1 + k_max, k_max)
+    assert p ** (1 + k_max) > 2 * dynamics._BLOCK and dynamics._BLOCK % 9 == 1
+    assert_walk_matches_reference(m, 1, tuple(k_values), grid)
+
+
 def test_box_count_caps_the_grid():
     ps = accumulate_plot(parse_map("x"), 2, 1, 1)
     assert box_count(ps, 2048).covered == 4

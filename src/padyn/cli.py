@@ -18,16 +18,9 @@ import time
 from contextlib import contextmanager
 
 from . import automata, dynamics, mahler
-from .errors import (
-    AutomatonFormatError,
-    BudgetError,
-    DegenerateAutomatonError,
-    MapSyntaxError,
-    PrecisionError,
-    UnboundedLookaheadError,
-)
-from .mapdsl import DEFAULT_BUDGET, AutoApply, Var, _load_automaton, parse_map
-from .padic import is_prime
+from .errors import BudgetError, PadynError, PrecisionError, UnboundedLookaheadError
+from .mapdsl import AutoApply, Var, _load_automaton, parse_map
+from .padic import _check_prime
 
 __all__ = ["main", "run_command", "render_report"]
 
@@ -131,13 +124,13 @@ def _printable(values, what: str) -> None:
 
 def _coefficient_rows(coeffs: mahler.MahlerCoeffs) -> list[dict]:
     _printable(coeffs.residues, "Mahler coefficients mod p^K")
-    # equal valuations are one shared object, so each text is made once, keyed by identity;
-    # "signed" is MahlerCoeffs.signed(m), the balanced representative, inline
-    text = {id(v): str(v) for v in {id(v): v for v in coeffs.valuations}.values()}
+    # the text of each distinct valuation is made once, from an index that has it, keyed by the
+    # int; "signed" is MahlerCoeffs.signed(m), the balanced representative, inline
+    text = {v: str(coeffs.valuation(m)) for v, m in {v: m for m, v in enumerate(coeffs.orders)}.items()}
     q = coeffs.modulus
     return [
-        {"m": m, "residue": r, "signed": r if 2 * r <= q else r - q, "valuation": text[id(v)]}
-        for m, (r, v) in enumerate(zip(coeffs.residues, coeffs.valuations))
+        {"m": m, "residue": r, "signed": r if 2 * r <= q else r - q, "valuation": text[v]}
+        for m, (r, v) in enumerate(zip(coeffs.residues, coeffs.orders))
     ]
 
 
@@ -259,8 +252,7 @@ _SECTIONS = {
 
 
 def _dispatch(args, budget) -> dict:
-    if not is_prime(args.p):
-        raise ValueError(f"p must be prime, got {args.p}")
+    _check_prime(args.p)
     if min(args.K, args.mmax, args.kmax, args.n) < 1:
         raise ValueError("K, mmax, kmax and n must all be >= 1")
     _check_outputs(args, "json")
@@ -325,10 +317,7 @@ def _dispatch(args, budget) -> dict:
 
     sections = _SECTIONS[args.subcommand]
     if "plotset" in sections:  # before the coefficients, any table and --csv
-        if args.grid < 1:
-            raise ValueError("grid size must be >= 1")
-        if args.grid**2 > DEFAULT_BUDGET:  # whatever --budget says: it sizes the table
-            raise BudgetError(f"--grid {args.grid} needs {args.grid**2} cells; the cap is {DEFAULT_BUDGET}")
+        dynamics._check_grid(args.grid)
         _check_outputs(args, "csv", "pgm")
     if "coefficients" in sections:
         coeffs = mahler.mahler_coeffs(expr, args.p, args.mmax, args.K, budget)
@@ -473,19 +462,9 @@ def run_command(argv) -> tuple[int, dict | None]:
         if args.json:  # before the text report goes out, so a failed write ends in an error
             with _output(args, "json") as out:
                 out.write(render_report(report, "json"))
-    except (BudgetError, PrecisionError) as exc:
+    except (PadynError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3, None
-    except (
-        MapSyntaxError,
-        AutomatonFormatError,
-        DegenerateAutomatonError,
-        UnboundedLookaheadError,
-        ValueError,
-        OSError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2, None
+        return (3 if isinstance(exc, (BudgetError, PrecisionError)) else 2), None
     sys.stdout.write(text)
     return 0, report
 

@@ -327,6 +327,15 @@ class BoxCount(Record):
         return Fraction(self.covered, self.grid * self.grid)
 
 
+def _check_grid(grid: int) -> None:
+    """A box count's grid must be >= 1 (else a ``ValueError``), and its grid * grid cells are
+    capped at ``DEFAULT_BUDGET`` whatever the budget says (else a ``BudgetError``)."""
+    if grid < 1:
+        raise ValueError("grid size must be >= 1")
+    if grid * grid > DEFAULT_BUDGET:
+        raise BudgetError(f"grid size {grid} needs {grid * grid} cells; the cap is {DEFAULT_BUDGET}")
+
+
 def box_count(ps: PlotSet, grid: int, csv: TextIO | None = None) -> BoxCount:
     """Grid cells holding at least one plot point, in one walk of the table.
 
@@ -337,10 +346,7 @@ def box_count(ps: PlotSet, grid: int, csv: TextIO | None = None) -> BoxCount:
     that one or two levels reach take one comprehension per class r mod p * g, g = gcd(x, x_den),
     the rest a merge loop; a y is y // g and tails[g], g = gcd(y, y_den), from a per-walk table.
     """
-    if grid < 1:
-        raise ValueError("grid size must be >= 1")
-    if grid * grid > DEFAULT_BUDGET:
-        raise BudgetError(f"grid size {grid} exceeds the cap of {DEFAULT_BUDGET} cells")
+    _check_grid(grid)
     p, t = ps.m.p, ps.m.table
     x_den, y_den = ps.denominators
     k_max = max(ps.k_values, default=0)

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import cached_property
 from itertools import accumulate, compress
 from operator import mul
 
-from ._record import Record
+from ._record import Record, _set
 from .errors import BudgetError
 from .mapdsl import _OPS_PER_ENTRY, MapExpr, _check_budget, binomial_degree, tabulate
-from .padic import Valuation, _count_factors, binomial_eval
+from .padic import Valuation, _check_residues, _count_factors, binomial_eval
 
 __all__ = [
     "MahlerCoeffs",
@@ -42,7 +41,9 @@ class MahlerCoeffs(Record):
     """Coefficients a_0..a_M of a map in the binomial basis, mod p**K.
 
     ``degree_bound`` is set when the map is a polynomial of known degree,
-    certifying that all coefficients beyond it vanish exactly.
+    certifying that all coefficients beyond it vanish exactly.  Construction refuses a p that is
+    not prime, a precision below 1 and a residue outside [0, p**K), then sets ``modulus``, p**K,
+    and ``orders``: each coefficient's valuation as an int, below K, or K for a zero residue.
     """
 
     p: int
@@ -50,30 +51,19 @@ class MahlerCoeffs(Record):
     residues: tuple[int, ...]
     degree_bound: int | None = None
 
+    def __post_init__(self) -> None:
+        p, K = self.p, self.precision
+        _set(self, "modulus", _check_residues(p, K, self.residues))
+        _set(self, "orders", tuple(_count_factors(r, p) if r else K for r in self.residues))
+
     @property
     def max_index(self) -> int:
         return len(self.residues) - 1
 
-    @cached_property
-    def modulus(self) -> int:
-        return self.p ** self.precision
-
-    @cached_property
-    def _orders(self) -> tuple[int, ...]:
-        """The valuation of every coefficient as an int, K for a zero residue.  Residues are
-        reduced mod p**K, so only 0 vanishes at working precision, and any other is below K."""
-        p, K = self.p, self.precision
-        return tuple(_count_factors(r, p) if r else K for r in self.residues)
-
-    @cached_property
-    def valuations(self) -> tuple[Valuation, ...]:
-        """The valuation of every coefficient, computed once; equal ones share one object."""
-        shared = {v: Valuation.exactly(v) for v in set(self._orders)}
-        shared[self.precision] = Valuation.at_least(self.precision)
-        return tuple(map(shared.__getitem__, self._orders))
-
     def valuation(self, m: int) -> Valuation:
-        return self.valuations[m]
+        """The valuation of a_m: exactly ``orders[m]``, or at least K for a zero residue."""
+        v = self.orders[m]
+        return Valuation(v, v < self.precision)
 
     def residue(self, m: int) -> int:
         """a_m mod p**K; past the row, 0 when the row is total (else an ``IndexError``)."""
@@ -300,15 +290,14 @@ class _Scan:
         verdict reports only the first violation, so the scan stops there."""
         if self.violation is not None:
             return
-        K = self.c.precision
-        orders = self.c._orders  # read once: a cached_property leaves c slow to read
+        K, orders = self.c.precision, self.c.orders
         for lo, hi, required in runs:
             if required > K and orders[lo] == K:
                 self.short(lo, condition(lo, required), "")
             window, bar = orders[lo:hi], min(required, K)
             if min(window) < bar:
                 m = lo + list(map(bar.__gt__, window)).index(True)
-                v = Valuation.exactly(orders[m])
+                v = self.c.valuation(m)
                 self.require(False, m, condition(m, required), f"valuation {v}", definitive)
                 return
 

@@ -36,7 +36,7 @@ from . import automata
 from ._record import Record
 from .errors import AutomatonFormatError, BudgetError, DegenerateAutomatonError
 from .errors import MapSyntaxError, PrecisionError
-from .padic import PadicApprox, _count_factors, is_prime
+from .padic import PadicApprox, _check_prime, _count_factors
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -373,7 +373,8 @@ def to_text(e: MapExpr) -> str:
 
 
 def factorial_valuation(m: int, p: int) -> int:
-    """Exponent of p in m! (Legendre's formula)."""
+    """Exponent of p in m! (Legendre's formula); p must be prime."""
+    _check_prime(p)
     total = 0
     q = p
     while q <= m:
@@ -603,8 +604,7 @@ def _evaluator(
     lifts below ``lifts``, once ``entries`` points of it are charged to the budget.
     A point costs one entry per _OPS_PER_ENTRY operations it does on values of
     <= 128 bits, and at least one.  Values wider than MAX_DIGITS digits are refused."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    _check_prime(p)
     costs = []
     steps, bits = _compile(e, p, digits, (lifts - 1).bit_length(), costs)
     if not isinstance(e, (Sigma, Binom, MahlerLit, AutoApply)):  # may leave [0, p**digits)
@@ -663,7 +663,8 @@ def _table_size(p: int, d: int) -> int:
 
 
 def step_order(table, p: int) -> int:
-    """Smallest L such that the table is constant on cosets mod p**L."""
+    """Smallest L such that the table is constant on cosets mod p**L; p must be prime."""
+    _check_prime(p)
     table = list(table)
     depth = 0
     while p**depth < len(table):

@@ -37,6 +37,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_prime(p: int) -> None:
+    """A ``ValueError`` unless p is prime."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+
+
 class Valuation(Record):
     """Power of p dividing a value: exactly ``value``, or at least ``value``.
 
@@ -93,14 +99,18 @@ class PadicApprox(Record):
     residue: int
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.precision < 1:
-            raise ValueError(f"precision must be >= 1, got {self.precision}")
-        if not 0 <= self.residue < self.p ** self.precision:
-            raise ValueError(
-                f"residue {self.residue} out of range for {self.p}^{self.precision}"
-            )
+        _check_residues(self.p, self.precision, (self.residue,))
+
+
+def _check_residues(p: int, precision: int, residues) -> int:
+    """p**precision, once p is prime, precision >= 1 and every residue in [0, p**precision)."""
+    _check_prime(p)
+    if precision < 1:
+        raise ValueError(f"precision must be >= 1, got {precision}")
+    q = p**precision
+    if bad := [r for r in residues if not 0 <= r < q]:
+        raise ValueError(f"residue {bad[0]} out of range for {p}^{precision}")
+    return q
 
 
 def binomial_eval(x_rep: int, m: int) -> int:

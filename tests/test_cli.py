@@ -17,6 +17,7 @@ from test_kernel import EXPRESSIONS
 
 from padyn import cli, dynamics, mapdsl
 from padyn.cli import render_report, run_command
+from padyn.errors import BudgetError, PadynError, PrecisionError
 from padyn.mahler import MahlerCoeffs, Verdict, mahler_coeffs
 from padyn.mapdsl import MAX_DEPTH, parse_map, to_text
 
@@ -54,6 +55,27 @@ def test_map_and_file_are_exclusive(tmp_path):
 def test_unknown_subcommand_exits_two(capsys):
     code, _ = run_command(["frobnicate"])
     assert code == 2
+
+
+def _error_classes(cls=PadynError):
+    """PadynError and every class below it, found by walking ``__subclasses__()``."""
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("error", list(_error_classes()), ids=lambda cls: cls.__name__)
+def test_every_padyn_error_exits_by_its_class(error, monkeypatch, capsys):
+    # the class alone decides the exit code: 3 for a blown budget or precision, else 2
+    def dispatch(args, budget):
+        raise error("raised from the dispatch")
+
+    monkeypatch.setattr(cli, "_dispatch", dispatch)
+    assert run_command(["analyze", "--map", "x"]) == (
+        3 if issubclass(error, (BudgetError, PrecisionError)) else 2, None
+    )
+    captured = capsys.readouterr()
+    assert captured.err == "error: raised from the dispatch\n" and captured.out == ""
 
 
 def _brackets(n):
@@ -771,7 +793,7 @@ def test_grid_over_the_cap_leaves_the_csv_file_alone(subcommand, tmp_path, capsy
     argv = [subcommand, "--map", "x", "--kmax", "3", "--grid", "2049", "--csv", str(csv)]
     for extra in ([], ["--budget", str(2**23)]):
         assert run_command(argv + extra) == (3, None)
-        assert "--grid 2049" in capsys.readouterr().err
+        assert "grid size 2049 needs 4198401 cells; the cap is 4194304" in capsys.readouterr().err
         assert not csv.exists()
     csv.write_text("kept\n")
     assert run_command(argv)[0] == 3

@@ -1,6 +1,8 @@
 import gc
 import math
+import operator
 import random
+import re
 import types
 
 import pytest
@@ -66,11 +68,12 @@ def test_difference_table_matches_alternating_sum(corpus_texts, p):
 
 def reference_differences(row, modulus):
     """The row-by-row forward-difference table the divide-and-conquer
-    transform replaced: M^2/2 subtractions."""
-    coeffs = [row[0]]
+    transform replaced: M^2/2 subtractions, exact on the integers, each a_m then
+    reduced mod the modulus."""
+    coeffs = [row[0] % modulus]
     for _ in range(len(row) - 1):
-        row = [(row[i + 1] - row[i]) % modulus for i in range(len(row) - 1)]
-        coeffs.append(row[0])
+        row = list(map(operator.sub, row[1:], row))
+        coeffs.append(row[0] % modulus)
     return coeffs
 
 
@@ -127,23 +130,46 @@ def _split_point(n):
     return 1 << max((n // 3).bit_length() - 1, 0)
 
 
+def _changed_at(coeffs, j, delta, q):
+    """The coefficients of a row once its point j moves by delta: a_m + delta (-1)^(m-j) C(m, j)
+    for m >= j, as a_m = sum_i (-1)^(m-i) C(m, i) row(i)."""
+    moved = [(a + delta * (-1) ** (m - j) * math.comb(m, j)) % q for m, a in enumerate(coeffs[j:], j)]
+    return coeffs[:j] + moved
+
+
 def _sparse_head_rows(n, q, rng):
-    """(d, tail, row) for rows whose first h coefficients are a_0, a_{d/2} and a_d
+    """(d, tail, row, coefficients) for rows whose first h coefficients are a_0, a_{d/2} and a_d
     (a_d nonzero), on degrees up to h // 2, where the transform's head test is tried once
     h >= 16, and at 3h // 4, past its share.
     The tail after row[:h] is: zero (the row is the head's polynomial), dense (random
     values), zero except a_{n-1} (the polynomial but for its last point), or the
-    polynomial but for the middle point of the tail, which the last-point probe cannot see."""
+    polynomial but for the middle point of the tail, which the last-point probe cannot see.
+    The coefficients are in closed form (``_changed_at``), None for a dense tail."""
     h = _split_point(n)
     for d in sorted({min(d, h - 1) for d in (0, 1, 2, h // 2, 3 * h // 4)}):
         a = {0: rng.randrange(q), d // 2: rng.randrange(q), d: rng.randrange(1, q)}
         poly = [sum(c * math.comb(j, m) for m, c in a.items()) % q for j in range(n)]
-        yield d, "zero", poly
-        yield d, "dense", poly[:h] + [rng.randrange(q) for _ in range(h, n)]
-        yield d, "last", poly[:-1] + [(poly[-1] + rng.randrange(1, q)) % q]
+        coeffs = [a.get(m, 0) for m in range(n)]
+        yield d, "zero", poly, coeffs
+        yield d, "dense", poly[:h] + [rng.randrange(q) for _ in range(h, n)], None
+        delta = rng.randrange(1, q)
+        yield d, "last", poly[:-1] + [(poly[-1] + delta) % q], _changed_at(coeffs, n - 1, delta, q)
         j = (h + n) // 2
         if j < n - 1:
-            yield d, "inner point", poly[:j] + [(poly[j] + rng.randrange(1, q)) % q] + poly[j + 1 :]
+            delta = rng.randrange(1, q)
+            row = poly[:j] + [(poly[j] + delta) % q] + poly[j + 1 :]
+            yield d, "inner point", row, _changed_at(coeffs, j, delta, q)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_sparse_head_closed_form_matches_reference(p):
+    rng = random.Random(p)
+    for n in (3, 7, 33, 49, 66, 100):
+        for K in (1, 33):
+            q = p**K
+            for d, tail, row, coeffs in _sparse_head_rows(n, q, rng):
+                if coeffs is not None:
+                    assert coeffs == reference_differences(row, q), (n, K, d, tail)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -160,11 +186,10 @@ def test_transform_matches_reference_after_a_sparse_head(p, monkeypatch):
         h = _split_point(n)
         for K in (1, 33, 70):
             q = p**K
-            for d, tail, row in _sparse_head_rows(n, q, rng):
+            for d, tail, row, coeffs in _sparse_head_rows(n, q, rng):
                 lengths.clear()
-                assert mahler._differences(list(row), q) == reference_differences(row, q), (
-                    n, K, d, tail,
-                )
+                expected = reference_differences(row, q) if coeffs is None else coeffs
+                assert mahler._differences(list(row), q) == expected, (n, K, d, tail)
                 if tail == "zero" and n > mahler._SPLIT_CUTOFF and mahler._worth_checking(d, h):
                     assert h + 1 not in lengths, (n, K, d)
 
@@ -221,15 +246,30 @@ def _residue_rows(draw):
     return p, K, draw(st.lists(residue, min_size=1, max_size=40))
 
 
+@pytest.mark.parametrize(
+    "p, K, residues, message",
+    [
+        (1, 2, (0, 1, 0), "p must be prime, got 1"),  # its valuations would never return
+        (4, 2, (0, 1, 0), "p must be prime, got 4"),
+        (2, 0, (0,), "precision must be >= 1, got 0"),
+        (2, 3, (0, 2**4, 1), "residue 16 out of range for 2^3"),  # would read Exact(4), not AtLeast(3)
+        (3, 2, (1, -1), "residue -1 out of range for 3^2"),
+    ],
+)
+def test_coefficients_are_validated_at_construction(p, K, residues, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MahlerCoeffs(p, K, residues)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_residue_rows())
 def test_valuations_and_rows_match_the_per_residue_reference(case):
     p, K, residues = case
     q = p**K
     c = MahlerCoeffs(p, K, tuple(residues))
-    assert c.valuations == tuple(residue_valuation(r, p, K) for r in residues)
-    # equal valuations are one object, so the report rows make each text once
-    assert len(set(map(id, c.valuations))) == len(set(c.valuations))
+    expected = [residue_valuation(r, p, K) for r in residues]
+    assert [c.valuation(m) for m in range(len(residues))] == expected
+    assert c.orders == tuple(v.value for v in expected)
     assert cli._coefficient_rows(c) == [
         {
             "m": m,
@@ -571,7 +611,7 @@ def _per_index_scan(scan, requirements, condition, definitive=False):
     if scan.violation is not None:
         return
     for m, required in requirements:
-        v = scan.c.valuations[m]
+        v = scan.c.valuation(m)
         if required <= v.value:
             continue
         if v.exact:

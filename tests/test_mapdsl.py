@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -350,6 +354,24 @@ def test_step_order_examples():
 def test_step_order_rejects_bad_length():
     with pytest.raises(ValueError):
         step_order([1, 2, 3], 2)
+
+
+def test_step_order_and_factorial_valuation_refuse_a_p_that_is_not_prime():
+    # each call looped forever before p was checked, so they run in a child under a timeout
+    probe = (
+        "from padyn.mapdsl import factorial_valuation, step_order\n"
+        "for call in ('step_order([0, 0], 1)', 'step_order([0, 0, 0], -1)', 'factorial_valuation(5, 1)'):\n"
+        "    try:\n"
+        "        eval(call)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(mapdsl.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=30)
+    assert done.stdout.splitlines() == [
+        "p must be prime, got 1", "p must be prime, got -1", "p must be prime, got 1",
+    ], done.stderr
 
 
 # --- complex-shift decomposition ------------------------------------------------

@@ -186,12 +186,12 @@ def test_match_by_keyword_and_position():
 
 def test_cached_properties_are_computed_once():
     coeffs = MahlerCoeffs(2, 3, (1, 2, 0), 1)
-    assert coeffs.valuations is coeffs.valuations
+    assert (coeffs.modulus, coeffs.orders) == (8, (0, 1, 3))  # set at construction
     node = AutoApply("xor.aut", XOR, 0, Var())
     assert node.chunks is node.chunks
-    # a cached value is not a field: it changes neither equality nor the repr
+    # a value set at construction or cached is not a field: it changes neither equality nor the repr
     assert coeffs == MahlerCoeffs(2, 3, (1, 2, 0), 1)
-    assert "valuations" not in repr(coeffs)
+    assert "orders" not in repr(coeffs) and "modulus" not in repr(coeffs)
 
 
 def test_post_init_checks_still_run():

@@ -342,68 +342,77 @@ def box_count(ps: PlotSet, grid: int, csv: TextIO | None = None) -> BoxCount:
     Cell assignment is exact: a point lands in cell floor(coord * grid), computed on its
     integer numerator over the common denominator.  Given a text stream ``csv``, the same walk
     writes the CSV point dump to it, sorted by x then y, in lowest terms, one write per window
-    of ``_BLOCK`` x.  Level kmax is a table slice, reduced only for a wider codomain.  The x
-    that one or two levels reach take one comprehension per class r mod p * g, g = gcd(x, x_den),
-    the rest a merge loop; a y is y // g and tails[g], g = gcd(y, y_den), from a per-walk table.
+    of ``_BLOCK`` x.  Level kmax is a table slice, read into a list once per window and reduced
+    only for a wider codomain.  The other levels are walked by valuation class: the x = r mod
+    p * g, g = gcd(x, x_den), reach level kmax and the levels whose scale divides g, and are
+    x // g over x_den // g in lowest terms.  A class of one or two levels takes one
+    comprehension, a deeper one a loop over its x; a y is y // g and tails[g], g = gcd(y, y_den),
+    from a per-walk table.
     """
     _check_grid(grid)
     p, t = ps.m.p, ps.m.table
     x_den, y_den = ps.denominators
     k_max = max(ps.k_values, default=0)
     cells, points = bytearray(grid * grid), 0
-    # the levels below kmax as (scale, modulus), finest first, then x_den, which divides no x but 0
-    scales = [(y_den // p**k, p**k) for k in reversed(ps.k_values[:-1])]
-    (s1, m1), (s2, _) = (scales + [(x_den, 1)] * 2)[:2]
+    scales = [(y_den // p**k, p**k) for k in reversed(ps.k_values[:-1])]  # below kmax, finest first
     tails, tail = {p**v: f",{p ** (k_max - v)}\n" for v in range(k_max + 1)}, f",{y_den}\n"
+    # x = 0, which every scale divides, is the class (x_den, 0); without a CSV stream a class
+    # of level kmax alone has no work
     classes = [(g, r) for g in map(p.__pow__, range(ps.n + k_max)) for r in range(g, p * g, g)]
-    classes = [(g, r) for g, r in classes if s1 <= g < s2 or g < s1 and csv is not None]
+    classes = [(g, r, [(s, m) for s, m in scales if s <= g]) for g, r in classes + [(x_den, 0)]]
+    classes = [(g, r, levels) for g, r, levels in classes if levels or csv is not None]
     if csv is not None:
         csv.write("xnum,xden,ynum,yden\n")
     for start in range(0, x_den if ps.k_values else 0, _BLOCK):
         xs = range(start, min(start + _BLOCK, x_den))
         ys = t[start : xs.stop]  # level kmax: a point at every x, already reduced at codomain kmax
-        ys = ys if ps.m.codomain_digits == k_max else [v % y_den for v in ys]
+        # a list, as every comprehension below reads it again and an array makes an int per read
+        ys = [*ys] if ps.m.codomain_digits == k_max else [v % y_den for v in ys]
         points += len(xs)
         for c in [y * grid // y_den * grid + x * grid // x_den for x, y in zip(xs, ys)]:
             cells[c] = 1
         rows = [None] * len(xs)
-        for g, r in classes:  # offsets from start, which need not be a multiple of p * g
+        for g, r, levels in classes:  # offsets from start, which need not be a multiple of p * g
             at, step = (r - start) % (p * g), p * g
-            xr, ya, xt = xs[at::step], ys[at::step], f",{x_den // g},"  # x // g is over x_den // g
-            if g < s1:  # level kmax only
+            xr, ya, xt = xs[at::step], ys[at::step], f",{x_den // g},"
+            hs = range(xr.start // g, x_den, p)  # x // g
+            if not levels:
                 rows[at::step] = [
                     f"{h}{xt}{y}{tail}" if y % p else f"{h}{xt}{y // (d := gcd(y, y_den))}{tails[d]}"
-                    for h, y in zip(range(xr.start // g, x_den, p), ya)
+                    for h, y in zip(hs, ya)
                 ]
-                continue
-            ub = [v % m1 * s1 for v in t[xr.start // s1 : -(-xr.stop // s1) : step // s1]]  # t[x // s1]
-            points += sum(map(int.__ne__, ya, ub))
-            for c in [u * grid // y_den * grid + x * grid // x_den for x, u in zip(xr, ub)]:
-                cells[c] = 1
-            if csv is not None:
-                rows[at::step] = [
-                    f"{h}{xt}{a // (d := gcd(a, y_den))}{tails[d]}"
-                    + (f"{h}{xt}{b // (d := gcd(b, y_den))}{tails[d]}" if a != b else "")
-                    for h, y, u in zip(range(xr.start // g, x_den, p), ya, ub)
-                    for a, b in [(y, u) if y < u else (u, y)]
-                ]
-        for x, y in zip(xs[-start % s2 :: s2], ys[-start % s2 :: s2]):  # the x that s2 divides
-            column = [y]
-            for scale, modulus in scales:
-                if x % scale:
-                    break
-                if (u := t[x // scale] % modulus * scale) not in column:
-                    column.append(u)
-                    points += 1
-                    cells[u * grid // y_den * grid + x * grid // x_den] = 1
-            if csv is not None:
-                column.sort()
-                g = gcd(x, x_den)
-                head, text = f"{x // g},{x_den // g},", ""
-                for y in column:
-                    g = gcd(y, y_den)
-                    text += f"{head}{y // g}{tails[g]}"
-                rows[x - start] = text
+            elif len(levels) == 1:
+                (s, m), = levels
+                ub = [v % m * s for v in t[xr.start // s : -(-xr.stop // s) : step // s]]  # t[x // s]
+                points += sum(map(int.__ne__, ya, ub))
+                for c in [u * grid // y_den * grid + x * grid // x_den for x, u in zip(xr, ub)]:
+                    cells[c] = 1
+                if csv is not None:
+                    rows[at::step] = [  # one row when the two values are equal, else two by y
+                        f"{h}{xt}{y // (d := gcd(y, y_den))}{tails[d]}"
+                        f"{h}{xt}{u // (e := gcd(u, y_den))}{tails[e]}"
+                        if y < u
+                        else f"{h}{xt}{u // (e := gcd(u, y_den))}{tails[e]}"
+                        f"{h}{xt}{y // (d := gcd(y, y_den))}{tails[d]}"
+                        if u < y
+                        else f"{h}{xt}{y // (d := gcd(y, y_den))}{tails[d]}"
+                        for h, y, u in zip(hs, ya, ub)
+                    ]
+            else:
+                for h, x, y in zip(hs, xr, ya):
+                    column, i = [y], x * grid // x_den
+                    for s, m in levels:
+                        if (u := t[x // s] % m * s) not in column:
+                            column.append(u)
+                            cells[u * grid // y_den * grid + i] = 1
+                    points += len(column) - 1
+                    if csv is not None:
+                        column.sort()
+                        head, text = f"{h}{xt}", ""
+                        for u in column:
+                            d = gcd(u, y_den)
+                            text += f"{head}{u // d}{tails[d]}"
+                        rows[x - start] = text
         if csv is not None:
             csv.write("".join(rows))
     return BoxCount(grid, bytes(cells), points)
@@ -413,8 +422,10 @@ _PGM_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def to_pgm(bc: BoxCount) -> str:
-    """Plain PGM (P2) raster of the covered cells via one bytes.translate; row 0 is the top."""
-    g = bc.grid
-    text = bc.cells.translate(_PGM_DIGITS).decode("ascii")
-    rows = (" ".join(text[j * g : (j + 1) * g]) for j in reversed(range(g)))
-    return "\n".join(["P2", f"{g} {g}", "1", *rows]) + "\n"
+    """Plain PGM (P2) raster of the covered cells, row 0 at the top: one bytearray of the rows,
+    the cells top-down and translated in its even slots, a space or a newline in each odd one."""
+    g, cells = bc.grid, bc.cells
+    raster = bytearray(b" ") * (2 * g * g)
+    raster[::2] = b"".join(cells[j * g : (j + 1) * g] for j in reversed(range(g))).translate(_PGM_DIGITS)
+    raster[2 * g - 1 :: 2 * g] = b"\n" * g
+    return f"P2\n{g} {g}\n1\n{raster.decode('ascii')}"

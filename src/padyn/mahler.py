@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from operator import mul
 
 from ._record import Record, _set
 from .errors import BudgetError
-from .mapdsl import _OPS_PER_ENTRY, MapExpr, _check_budget, binomial_degree, tabulate
-from .padic import Valuation, _check_residues, _count_factors, binomial_eval
+from .mapdsl import _OPS_PER_ENTRY, MapExpr, _blocks, _check_budget, binomial_degree
+from .padic import Valuation, _check_residues, _orders, binomial_eval
 
 __all__ = [
     "MahlerCoeffs",
@@ -54,7 +54,7 @@ class MahlerCoeffs(Record):
     def __post_init__(self) -> None:
         p, K = self.p, self.precision
         _set(self, "modulus", _check_residues(p, K, self.residues))
-        _set(self, "orders", tuple(_count_factors(r, p) if r else K for r in self.residues))
+        _set(self, "orders", _orders(self.residues, p, K))
 
     @property
     def max_index(self) -> int:
@@ -137,19 +137,19 @@ def mahler_coeffs(
     max_index + 1 points are charged to the budget.  A polynomial of
     binomial degree d < max_index has a_m = 0 exactly for m > d, the
     certificate behind its total verdicts, so only its first d + 1 points
-    are transformed and the rest of the row is zeros.  The transform is
-    charged to the budget too, for its top product, before it runs.
+    are evaluated and transformed, and the rest of the row is zeros.  The
+    transform is charged to the budget too, for its top product, before it runs.
     """
     if max_index < 0:
         raise ValueError("max_index must be >= 0")
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    row = tabulate(e, p, max_index + 1, precision, budget)
     degree = binomial_degree(e)
     last = max_index if degree is None else min(degree, max_index)
+    row = list(chain.from_iterable(_blocks(e, p, max_index + 1, precision, budget, last + 1)))
     cost = _transform_cost(last + 1, p ** precision)
     _check_budget(last + 1, budget, cost, lambda: f"the Mahler transform at K = {precision} digits")
-    coeffs = _differences(row[: last + 1], p ** precision) + [0] * (max_index - last)
+    coeffs = _differences(row, p ** precision) + [0] * (max_index - last)
     return MahlerCoeffs(p, precision, tuple(coeffs), degree)
 
 

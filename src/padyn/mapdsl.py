@@ -634,13 +634,17 @@ def eval_map(e: MapExpr, x: PadicApprox) -> PadicApprox:
     return PadicApprox(x.p, digits, value)
 
 
-def _blocks(e: MapExpr, p: int, size: int, digits: int, budget: int | None) -> Iterator[list[int]]:
+def _blocks(
+    e: MapExpr, p: int, size: int, digits: int, budget: int | None, stop: int | None = None
+) -> Iterator[list[int]]:
     """``tabulate``'s values, a list per ``_BLOCK`` lifts, each evaluated when read;
-    the arguments and the budget are checked at the call."""
+    the arguments and the budget are checked at the call.  Given ``stop`` <= size, only
+    the lifts below it are evaluated, but all size points are charged."""
     if size < 1 or digits < 1:
         raise ValueError("need a table size >= 1 and an output digit count >= 1")
     column = _evaluator(e, p, digits, size, size, budget)
-    return (column(list(range(start, min(start + _BLOCK, size)))) for start in range(0, size, _BLOCK))
+    stop = size if stop is None else stop
+    return (column(list(range(start, min(start + _BLOCK, stop)))) for start in range(0, stop, _BLOCK))
 
 
 def tabulate(

@@ -73,10 +73,16 @@ class Valuation(Record):
 
 
 def residue_valuation(residue: int, p: int, precision: int) -> Valuation:
-    """Valuation of a residue known mod p**precision."""
-    if residue % p ** precision == 0:
-        return Valuation.at_least(precision)
-    return Valuation.exactly(_count_factors(residue, p))
+    """Valuation of a residue known mod p**precision: exact, or at least precision when the
+    residue vanishes there.  A p that is not prime or a precision below 1 is a ``ValueError``."""
+    (v,) = _orders([residue % _check_residues(p, precision, ())], p, precision)
+    return Valuation(v, v < precision)
+
+
+def _orders(residues, p: int, precision: int) -> tuple[int, ...]:
+    """The valuation of each residue in [0, p**precision) as an int: exact below precision, and
+    precision for a zero residue, whose valuation is only known to be at least that."""
+    return tuple(_count_factors(r, p) if r else precision for r in residues)
 
 
 def _count_factors(n: int, p: int) -> int:

@@ -295,15 +295,18 @@ def test_analyze_evaluates_each_point_once(monkeypatch, shift1_path, p, n, kmax,
         return counting
 
     monkeypatch.setattr(mapdsl, "_evaluator", counting_evaluator)
-    mmax = 20
+    mmax, text = 20, map_text.format(aut=shift1_path)
     code, _ = run_command(
         [
             "analyze", "--p", str(p), "--n", str(n), "--kmax", str(kmax),
-            "--mmax", str(mmax), "--map", map_text.format(aut=shift1_path),
+            "--mmax", str(mmax), "--map", text,
         ]
     )
     assert code == 0
-    assert calls == max(p ** (n * kmax), p ** (n + kmax)) + mmax + 1
+    # the Mahler row of a polynomial of binomial degree d evaluates its first d + 1 points
+    degree = mapdsl.binomial_degree(mapdsl.parse_map(text))
+    row = mmax + 1 if degree is None else min(degree, mmax) + 1
+    assert calls == max(p ** (n * kmax), p ** (n + kmax)) + row
 
 
 @pytest.mark.parametrize(

@@ -578,15 +578,18 @@ def test_plot_walk_matches_level_set_merge_across_csv_batches(text, p, k_max):
         ("x^2+x+1", 2, 13, (1, 2, 4, 13), 64),
         ("sigma(x^2+x+1)", 2, 14, range(1, 15), 256),
         ("C(x,3)+x", 3, 8, range(1, 9), 243),
+        ("x^2+x+1", 5, 5, range(1, 6), 125),
     ],
 )
 def test_plot_walk_matches_level_set_merge_across_windows(text, p, k_max, k_values, grid):
     # gapped levels: at (2, 5, 8) the third level's scale is p**3 times the second's, and at
     # (1, 2, 8) the x that one level reaches include multiples of p; at p = 3 the windows after
-    # the first start off the multiples of p**2.  The last two are perfbench's deep-oracle
-    # plots, on the table analyze builds for them.
+    # the first start off the multiples of p**2, and at p = 5 off those of p**2 and p**3.  The
+    # p = 2 and p = 3 plots at every level are perfbench's deep-oracle plots, on the table
+    # analyze builds for them.
     m = reduced_map(parse_map(text), p, 1 + k_max, k_max)
     assert p ** (1 + k_max) > 2 * dynamics._BLOCK and dynamics._BLOCK % 9 == 1
+    assert dynamics._BLOCK % 25 == 21 and dynamics._BLOCK % 125 == 96
     assert_walk_matches_reference(m, 1, tuple(k_values), grid)
 
 
@@ -644,6 +647,51 @@ def test_box_count_csv_memory_is_the_grid_not_the_points(k):
     assert peak < 2**20, peak
 
 
+class _Window:
+    """A slice of a ``_CountedTable``: each iteration or subscript of it is one read."""
+
+    def __init__(self, table, values):
+        self.table, self.values = table, values
+
+    def __iter__(self):
+        self.table.window_reads += 1
+        return iter(self.values)
+
+    def __getitem__(self, i):
+        self.table.window_reads += 1
+        return self.values[i]
+
+
+class _CountedTable:
+    """A table whose plain slices, the windows of level kmax, count the reads made of them."""
+
+    def __init__(self, values):
+        self.values, self.window_reads = values, 0
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice) and i.step is None:
+            return _Window(self, self.values[i])
+        return self.values[i]
+
+
+@pytest.mark.parametrize("codomain", [7, 8])
+def test_box_count_reads_each_window_of_level_kmax_once(codomain):
+    # level kmax is read into a list once per window, whether or not it is reduced; the
+    # comprehensions of the window read that list
+    p, k_max, n = 3, 7, 1
+    m = reduced_map(parse_map("x^2+x+1"), p, n + k_max, codomain)
+    table = _CountedTable(m.table)
+    counted = PlotSet(ReducedLevelMap(p, n + k_max, codomain, table, check_range=False), n, range(1, k_max + 1))
+    out = io.StringIO()
+    bc = box_count(counted, 64, out)
+    assert table.window_reads == -(-(p ** (n + k_max)) // dynamics._BLOCK) == 2
+    assert out.getvalue() == to_csv(PlotSet(m, n, range(1, k_max + 1)))
+    assert bc == box_count(PlotSet(m, n, range(1, k_max + 1)), 64)
+
+
 # --- the PGM renderer against the per-cell formatter it replaced ----------------
 
 
@@ -659,6 +707,8 @@ def reference_pgm(bc):
 @example(grid=1, seed=0, density=0.0)
 @example(grid=1, seed=0, density=1.0)
 @example(grid=64, seed=0, density=1.0)
+@example(grid=243, seed=0, density=0.5)
+@example(grid=256, seed=1, density=0.5)
 @given(
     grid=st.integers(1, 64),
     seed=st.integers(0, 2**32),

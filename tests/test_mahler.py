@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import CORPUS
 from test_kernel import EXPRESSIONS, EXTRA
 
-from padyn import cli, mahler
+from padyn import cli, mahler, mapdsl
 from padyn.mahler import (
     MahlerCoeffs,
     Verdict,
@@ -24,6 +24,7 @@ from padyn.mahler import (
     eval_mahler,
     mahler_coeffs,
 )
+from padyn.errors import BudgetError
 from padyn.mapdsl import eval_map, lookahead_bound, parse_map, tabulate
 from padyn.padic import PadicApprox, residue_valuation
 
@@ -454,6 +455,26 @@ def test_polynomial_row_is_cut_at_its_degree(monkeypatch):
     assert lengths == [6]
     assert c.max_index == 4096 and c.total
     assert c.residues[5] == 120 and not any(c.residues[6:])
+
+
+def test_polynomial_row_evaluates_its_degree_points_and_charges_all(monkeypatch):
+    # x^5+3x+1 has binomial degree 5: of the 4097 points charged, six are evaluated, and
+    # the coefficients are the differences of the full tabulation
+    evaluated = []
+    evaluator = mapdsl._evaluator
+
+    def counting(*args):
+        column = evaluator(*args)
+        return lambda xs: evaluated.extend(xs) or column(xs)
+
+    monkeypatch.setattr(mapdsl, "_evaluator", counting)
+    e = parse_map("x^5+3*x+1")
+    c = mahler_coeffs(e, 2, 4096, 64)
+    assert evaluated == list(range(6))
+    with pytest.raises(BudgetError, match="enumeration of 4097 entries exceeds budget 4096"):
+        mahler_coeffs(e, 2, 4096, 64, budget=4096)
+    monkeypatch.undo()
+    assert list(c.residues) == reference_differences(list(tabulate(e, 2, 4097, 64)), 2**64)
 
 
 # --- reconstruction -----------------------------------------------------------

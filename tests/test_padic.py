@@ -39,10 +39,29 @@ def test_residue_range_validated():
         (12, 2, 6, Valuation.exactly(2)),
         (0, 2, 6, Valuation.at_least(6)),
         (5, 3, 4, Valuation.exactly(0)),
+        # p**K and its multiples vanish at precision K, as a zero residue does
+        (2**6, 2, 6, Valuation.at_least(6)),
+        (-3 * 2**6, 2, 6, Valuation.at_least(6)),
+        (-12, 2, 6, Valuation.exactly(2)),
     ],
 )
 def test_valuation(residue, p, K, expected):
     assert residue_valuation(residue, p, K) == expected
+
+
+@pytest.mark.parametrize(
+    "residue, p, K, message",
+    [
+        (5, 1, 3, "p must be prime, got 1"),
+        (3, 0, 2, "p must be prime, got 0"),
+        (3, 4, 2, "p must be prime, got 4"),
+        (3, 2, 0, "precision must be >= 1, got 0"),
+        (3, 2, -1, "precision must be >= 1, got -1"),
+    ],
+)
+def test_valuation_refuses_a_p_that_is_not_prime_and_a_precision_below_one(residue, p, K, message):
+    with pytest.raises(ValueError, match=message):
+        residue_valuation(residue, p, K)
 
 
 # --- binomials ----------------------------------------------------------

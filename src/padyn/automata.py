@@ -119,10 +119,10 @@ def parse_automaton(text: str) -> Automaton:
     if len(parts) != 2 or parts[0] != "p":
         raise AutomatonFormatError("expected 'p <prime>'", line=lineno)
     p = _number(parts[1], "prime", lineno)
-    if not is_prime(p):
-        raise AutomatonFormatError(f"alphabet size must be prime, got {p}", line=lineno)
     if p > 7:
         raise AutomatonFormatError("file format supports p <= 7 only", line=lineno)
+    if not is_prime(p):
+        raise AutomatonFormatError(f"alphabet size must be prime, got {p}", line=lineno)
 
     lineno, body = lines[1]
     parts = body.split()

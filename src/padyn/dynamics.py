@@ -242,14 +242,16 @@ def orbit(
     e: MapExpr, p: int, x0: int, steps: int, m: int, budget: int | None = None
 ) -> OrbitResult:
     """Iterate the padded endomap from x0, re-padding after every step;
-    the ``steps`` evaluations are charged to the budget."""
+    the ``steps`` evaluations are charged to the budget, and an m past
+    ``MAX_DIGITS`` is refused before p**m is built."""
     if m < 1:
         raise ValueError("digit count must be >= 1")
-    if not 0 <= x0 < p ** m:
+    modulus = _table_size(p, m)
+    if not 0 <= x0 < modulus:
         raise ValueError(f"start point {x0} outside Z/{p}^{m}")
     if steps < 0:
         raise ValueError(f"step count must be >= 0, got {steps}")
-    column = _evaluator(e, p, m, p**m, steps, budget)
+    column = _evaluator(e, p, m, modulus, steps, budget)
     points = [x0]
     first_seen = {x0: 0}
     cycle_start = cycle_length = None

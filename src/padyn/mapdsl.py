@@ -40,7 +40,6 @@ from .padic import PadicApprox, _check_prime, _count_factors
 
 __all__ = [
     "DEFAULT_BUDGET",
-    "MAX_DEPTH",
     "MAX_DIGITS",
     "MapExpr",
     "Const",
@@ -67,10 +66,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 1 << 22  # max table entries for any single enumeration
-# The most brackets a map nests.  The parser spends four stack frames per bracket, so at 200
-# it stays under Python's default recursion limit of 1000 with about 180 frames to spare.
-# Nothing else recurses: every walk of a map is a loop over its program.
-MAX_DEPTH = 200
 
 
 # --- abstract syntax ---------------------------------------------------
@@ -189,13 +184,12 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 
 class _Parser:
-    """Recursive descent over the tokens, read through one cursor: ``accept`` takes an
-    optional symbol, ``expect`` a required token, and ``group`` a bracketed expression."""
+    """The tokens read through one cursor, in one loop: ``accept`` takes an optional symbol,
+    ``expect`` a required token, and ``atom`` an atom or the opening of a bracketed one."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.nesting = 0  # brackets open at the cursor
 
     def accept(self, symbols: str) -> str | None:
         """The next token if it is one of ``symbols``, consumed; else None."""
@@ -213,85 +207,85 @@ class _Parser:
         self.pos += 1
         return value
 
-    def group(self, close: str = ")") -> MapExpr:
-        """'(' expr close, inside at most MAX_DEPTH brackets."""
-        at = self.tokens[self.pos][2]
-        self.expect("sym", "(")
-        self.nesting += 1
-        if self.nesting > MAX_DEPTH:
-            raise MapSyntaxError(f"more than {MAX_DEPTH} nested brackets", position=at)
-        e = self.expr()
-        self.nesting -= 1
-        self.expect("sym", close)
-        return e
-
     def parse(self) -> MapExpr:
-        e = self.expr()
-        kind, _, at = self.tokens[self.pos]
-        if kind != "end":
-            raise MapSyntaxError("trailing input", position=at)
-        return e
+        """expr, then the end of the text.  An expression's state is its sum, the sign that
+        adds the next term, the term's product so far and the minus signs of its factor.  A
+        bracket's '(' pushes a frame of its closer, the builder of its node and the state
+        outside it; the closer pops it, and the built node is an atom of the outer factor."""
+        frames = []
+        total, op, product, signs = None, "+", None, 0
+        while True:
+            while self.accept("-"):
+                signs += 1
+            atom = self.atom()
+            if isinstance(atom, tuple):
+                frames.append((atom, total, op, product, signs))
+                total, op, product, signs = None, "+", None, 0
+                continue
+            while True:  # the factor ends; so may its term, its expression and its brackets
+                if self.accept("^"):
+                    atom = Pow(atom, self.expect("int"))
+                for _ in range(signs):
+                    atom = Neg(atom)
+                product, signs = atom if product is None else Mul(product, atom), 0
+                if self.accept("*"):
+                    break
+                total = product if total is None else (Add if op == "+" else Sub)(total, product)
+                product, op = None, self.accept("+-")
+                if op:
+                    break
+                if not frames:
+                    kind, _, at = self.tokens[self.pos]
+                    if kind != "end":
+                        raise MapSyntaxError("trailing input", position=at)
+                    return total
+                inner, ((close, build), total, op, product, signs) = total, frames.pop()
+                self.expect("sym", close)
+                atom = build(inner)
 
-    def expr(self) -> MapExpr:
-        """term (('+' | '-') term)*.  Each term, factor ('*' factor)*, is read here, not by a
-        method of its own, so a bracket level costs four stack frames: expr, factor, atom, group."""
-        e, op = None, "+"
-        while op:
-            term = self.factor()
-            while self.accept("*"):
-                term = Mul(term, self.factor())
-            e = term if e is None else (Add if op == "+" else Sub)(e, term)
-            op = self.accept("+-")
-        return e
-
-    def factor(self) -> MapExpr:
-        """'-'* atom ('^' uint)?: the signs are counted in a loop, so a run of them is no
-        deeper on the stack than one."""
-        signs = 0
-        while self.accept("-"):
-            signs += 1
-        e = self.atom()
-        if self.accept("^"):
-            e = Pow(e, self.expect("int"))
-        for _ in range(signs):
-            e = Neg(e)
-        return e
-
-    def atom(self) -> MapExpr:
+    def atom(self) -> MapExpr | tuple[str, Callable]:
+        """An atom without brackets, or, once the '(' of one with brackets is read, the
+        closer of that bracket and the builder of the atom from the expression inside."""
         kind, value, at = self.tokens[self.pos]
-        if kind == "sym" and value == "(":
-            return self.group()
         self.pos += 1
         if kind == "int":
             return Const(value)
+        if kind == "sym" and value == "(":
+            return ")", lambda e: e
         if kind != "name":
             raise MapSyntaxError("expected an expression", position=at)
         if value == "x":
             return Var()
         if value == "sigma":
             shifts = self.expect("int") if self.accept("^") else 1
-            return Sigma(shifts, self.group())
-        if value == "C":
-            e, lower = self.group(","), self.expect("int")
-            self.expect("sym", ")")
-            return Binom(e, lower)
+            self.expect("sym", "(")
+            return ")", lambda e: Sigma(shifts, e)
+        if value == "C":  # the operand ends at the comma; the builder reads the lower index and ')'
+            self.expect("sym", "(")
+            return ",", lambda e: Binom(e, (self.expect("int"), self.expect("sym", ")"))[0])
         if value == "mahler":
             self.expect("sym", "[")
             coeffs = []
             while not coeffs or self.accept(","):
                 coeffs.append(-self.expect("int") if self.accept("-") else self.expect("int"))
             self.expect("sym", "]")
-            return MahlerLit(tuple(coeffs), self.group())
+            self.expect("sym", "(")
+            return ")", lambda e: MahlerLit(tuple(coeffs), e)
         if value == "auto":
             self.expect("sym", "(")
             pat = self.tokens[self.pos][2]
             path = self.expect("str")
             self.expect("sym", ")")
-            e, machine = self.group(), _load_automaton(path)
-            try:
-                return AutoApply.checked(path, machine, e)
-            except DegenerateAutomatonError as exc:
-                raise MapSyntaxError(str(exc), position=pat) from None
+            self.expect("sym", "(")
+
+            def apply(e: MapExpr) -> AutoApply:  # the file is read once its operand is parsed
+                machine = _load_automaton(path)
+                try:
+                    return AutoApply.checked(path, machine, e)
+                except DegenerateAutomatonError as exc:
+                    raise MapSyntaxError(str(exc), position=pat) from None
+
+            return ")", apply
         raise MapSyntaxError(f"unknown identifier {value!r}", position=at)
 
 

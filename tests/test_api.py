@@ -25,7 +25,7 @@ def test_every_all_name_resolves():
 def test_removed_api_stays_gone():
     removed = (
         "PNorm", "distance", "from_digits", "guaranteed_output_length", "plot_points",
-        "plot_levels", "CoefficientRangeError",
+        "plot_levels", "CoefficientRangeError", "MAX_DEPTH",
     )
     for module in [padyn] + [importlib.import_module(f"padyn.{layer}") for layer in LAYERS]:
         assert [name for name in removed if hasattr(module, name)] == [], module.__name__

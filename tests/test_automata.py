@@ -47,6 +47,9 @@ def test_parse_missing_row():
     "text, match",
     [
         ("p 4\nstates s\ninitial s\ns 0 -> s / 0\n", "prime"),
+        # the size is read before primality: 9 is not prime, 2^64 + 13 past is_prime's range
+        ("p 9\nstates s\ninitial s\n", "line 1: file format supports p <= 7 only"),
+        ("p 18446744073709551629\nstates s\ninitial s\n", "line 1: file format supports p <= 7 only"),
         ("p 2\nstates s\ninitial t\ns 0 -> s / 0\ns 1 -> s / 1\n", "unknown initial"),
         ("p 2\nstates s\ninitial s\ns 0 -> t / 0\ns 1 -> s / 1\n", "unknown state"),
         ("p 2\nstates s\ninitial s\ns 0 -> s / 2\ns 1 -> s / 1\n", "out of range"),

@@ -19,7 +19,7 @@ from padyn import cli, dynamics, mapdsl
 from padyn.cli import render_report, run_command
 from padyn.errors import BudgetError, PadynError, PrecisionError
 from padyn.mahler import MahlerCoeffs, Verdict, mahler_coeffs
-from padyn.mapdsl import MAX_DEPTH, parse_map, to_text
+from padyn.mapdsl import parse_map, to_text
 
 
 REPORT_KEYS = {"config", "coefficients", "verdicts", "census", "cycles", "plotset", "timing"}
@@ -36,6 +36,12 @@ def test_nonprime_is_config_error(capsys):
     code, report = run_command(["analyze", "--p", "4", "--map", "x"])
     assert code == 2 and report is None
     assert "prime" in capsys.readouterr().err
+
+
+def test_a_p_past_two_to_the_64_is_config_error(capsys):
+    # is_prime decides only below 2^64, so a larger p is refused by that bound
+    assert run_command(["analyze", "--p", str(2**64 + 13), "--map", "x"]) == (2, None)
+    assert capsys.readouterr().err == "error: p must be prime below 2^64, got 18446744073709551629\n"
 
 
 def test_bad_map_is_config_error(capsys):
@@ -94,32 +100,37 @@ def _signs(n):
     return "-" * n + "x"
 
 
-@pytest.mark.parametrize("subcommand", ["mahler", "analyze"])
 @pytest.mark.parametrize(
-    "text, nested, position",
+    "subcommand, text",
     [
-        (_brackets(300), "brackets", MAX_DEPTH),  # the first '(' past the limit
-        (_sigmas(2000), "brackets", 6 * MAX_DEPTH + 5),  # the '(' of the first sigma past the limit
+        ("mahler", _brackets(300)), ("analyze", _brackets(300)),
+        ("mahler", _sigmas(2000)), ("analyze", _sigmas(2000)),
+        ("analyze", _brackets(50000)), ("analyze", _sigmas(15000)),
     ],
-    ids=["brackets-300", "sigma-2000"],
+    ids=["brackets-300-mahler", "brackets-300-analyze", "sigma-2000-mahler", "sigma-2000-analyze",
+         "brackets-50000-analyze", "sigma-15000-analyze"],
 )
-def test_nesting_past_the_limit_exits_two_with_a_position(subcommand, text, nested, position, capsys):
-    assert run_command([subcommand, "--kmax", "2", f"--map={text}"]) == (2, None)
-    message = f"error: more than {MAX_DEPTH} nested {nested} (at position {position})"
-    assert message in capsys.readouterr().err
+def test_deep_brackets_run(subcommand, text):
+    # brackets nest without limit: the parser keeps one frame per open bracket in a list
+    assert run_command([subcommand, "--kmax", "2", "--mmax", "4", f"--map={text}"])[0] == 0
+
+
+def test_unclosed_brackets_exit_two_with_a_position(capsys):
+    assert run_command(["analyze", "--kmax", "2", "--map=" + "(" * 5000 + "x"]) == (2, None)
+    assert "error: expected ')' (at position 5001)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("subcommand", ["mahler", "analyze"])
 @pytest.mark.parametrize(
     "text",
     [
-        _brackets(MAX_DEPTH), _sum(MAX_DEPTH + 1), _sigmas(MAX_DEPTH), _signs(MAX_DEPTH),
+        _brackets(200), _sum(201), _sigmas(200), _signs(200),
         _sum(2000), _signs(2000),
     ],
     ids=["brackets", "sum", "sigma", "signs", "sum-2000", "signs-2000"],
 )
 def test_nesting_at_the_limit_runs(subcommand, text):
-    # only brackets are limited: a long sum or a run of signs is as deep a tree, and runs
+    # a long sum or a run of signs is as deep a tree as 200 brackets, and runs too
     assert run_command([subcommand, "--kmax", "2", "--mmax", "4", f"--map={text}"])[0] == 0
 
 
@@ -721,6 +732,27 @@ def test_orbit_rejects_negative_steps(capsys):
     code, report = run_command(["orbit", "--map", "x+1", "--x0", "1", "--steps", "-3"])
     assert code == 2 and report is None
     assert "step count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["orbit", "--p", "3", "--m", "100000000", "--x0", "0", "--map", "x"],
+         "error: a table on Z/p^100000000 needs inputs of 100000000 digits; the limit is 1048576"),
+        (["analyze", "--p", "1000000000000000003", "--kmax", "1", "--mmax", "1", "--map", "x"],
+         "error: enumeration of 1000000000000000006000000000000000009 entries exceeds budget 4194304"),
+    ],
+    ids=["orbit-m", "analyze-p"],
+)
+def test_a_wide_modulus_or_a_large_prime_exits_three_at_once(argv, message):
+    # orbit built p^m before it read the digit limit, and p was trial-divided up to its
+    # square root: each ran for minutes, so they run in a child under a timeout
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "padyn", *argv], capture_output=True, text=True, env=env, timeout=20
+    )
+    assert (done.returncode, done.stderr) == (3, message + "\n")
 
 
 @pytest.mark.parametrize(

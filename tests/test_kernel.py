@@ -260,3 +260,65 @@ def _cases(draw):
 def test_kernel_matches_reference_on_random_expressions(case):
     e, x = case
     assert _outcome(eval_map, e, x) == _outcome(reference_eval_map, e, x)
+
+
+# --- van der Put reader ------------------------------------------------------
+
+
+def first_van_der_put_failure(table, p: int):
+    """The first m >= 1 whose van der Put difference B_m = f(m) - f(m - t p^k) has
+    v_p(B_m) < k, with k = floor(log_p m) and t the leading digit of m; None if there is
+    none.  On a table Z/p^N -> Z/p^N that is None exactly when the table is 1-Lipschitz."""
+    scale = 1  # p^k, k = floor(log_p m)
+    for m in range(1, len(table)):
+        if m == scale * p:
+            scale = m
+        b = table[m] - table[m - m // scale * scale]
+        if b % scale:  # v_p(b) < k
+            return m
+    return None
+
+
+def _is_one_lipschitz(table, p: int) -> bool:
+    """x = y mod p^k gives f(x) = f(y) mod p^k, for every k up to N, by brute force."""
+    k, q = 0, 1
+    while q < len(table):
+        k, q = k + 1, q * p
+        if any((table[x] - table[x % q]) % q for x in range(len(table))):
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "text, p, digits, first",
+    [
+        ("sigma(x^2+x+1)", 2, 8, 2),
+        ("C(x,2)", 2, 8, 2),
+        ("sigma^2(x)", 2, 8, 4),
+        ("x^2+x+1", 2, 8, None),
+        ("C(x,3)+x", 3, 5, 3),
+        ("x^3+x", 3, 5, None),
+    ],
+)
+def test_van_der_put_reader_examples(text, p, digits, first):
+    table = tabulate(parse_map(text), p, p**digits, digits)
+    assert first_van_der_put_failure(table, p) == first
+    assert _is_one_lipschitz(table, p) is (first is None)
+
+
+@st.composite
+def _tables(draw):
+    p = draw(st.sampled_from(sorted(EXPRESSIONS)))
+    e = draw(EXPRESSIONS[p])
+    digits = draw(st.integers(1, {2: 6, 3: 4, 5: 3}[p]))
+    return e, p, tabulate(e, p, p**digits, digits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tables())
+def test_van_der_put_reader_decides_one_lipschitz(case):
+    e, p, table = case
+    first = first_van_der_put_failure(table, p)
+    assert (first is None) is _is_one_lipschitz(table, p)
+    if lookahead_bound(e, p) == 0:
+        assert first is None

@@ -16,6 +16,7 @@ from padyn.errors import (
     BudgetError,
     DegenerateAutomatonError,
     MapSyntaxError,
+    PadynError,
     PrecisionError,
 )
 from padyn.mahler import mahler_coeffs
@@ -29,6 +30,7 @@ from padyn.mapdsl import (
     Neg,
     Pow,
     Sigma,
+    Sub,
     Var,
     binomial_degree,
     decompose_complex_shift,
@@ -136,6 +138,129 @@ def test_parse_map_round_trips_or_names_a_position(text):
         assert 0 <= exc.position <= len(text)
     else:
         assert parse_map(to_text(tree)) == tree
+
+
+class _RecursiveParser(mapdsl._Parser):
+    """The recursive descent that ``mapdsl._Parser.parse`` replaced, kept as its reference.
+    It spends four stack frames per bracket (expr, factor, atom, group), so it reads about
+    200 nested brackets under the default recursion limit."""
+
+    def group(self, close: str = ")"):
+        self.expect("sym", "(")
+        e = self.expr()
+        self.expect("sym", close)
+        return e
+
+    def parse(self):
+        e = self.expr()
+        kind, _, at = self.tokens[self.pos]
+        if kind != "end":
+            raise MapSyntaxError("trailing input", position=at)
+        return e
+
+    def expr(self):
+        e, op = None, "+"
+        while op:
+            term = self.factor()
+            while self.accept("*"):
+                term = Mul(term, self.factor())
+            e = term if e is None else (Add if op == "+" else Sub)(e, term)
+            op = self.accept("+-")
+        return e
+
+    def factor(self):
+        signs = 0
+        while self.accept("-"):
+            signs += 1
+        e = self.atom()
+        if self.accept("^"):
+            e = Pow(e, self.expect("int"))
+        for _ in range(signs):
+            e = Neg(e)
+        return e
+
+    def atom(self):
+        kind, value, at = self.tokens[self.pos]
+        if kind == "sym" and value == "(":
+            return self.group()
+        self.pos += 1
+        if kind == "int":
+            return Const(value)
+        if kind != "name":
+            raise MapSyntaxError("expected an expression", position=at)
+        if value == "x":
+            return Var()
+        if value == "sigma":
+            shifts = self.expect("int") if self.accept("^") else 1
+            return Sigma(shifts, self.group())
+        if value == "C":
+            e, lower = self.group(","), self.expect("int")
+            self.expect("sym", ")")
+            return Binom(e, lower)
+        if value == "mahler":
+            self.expect("sym", "[")
+            coeffs = []
+            while not coeffs or self.accept(","):
+                coeffs.append(-self.expect("int") if self.accept("-") else self.expect("int"))
+            self.expect("sym", "]")
+            return MahlerLit(tuple(coeffs), self.group())
+        if value == "auto":
+            self.expect("sym", "(")
+            pat = self.tokens[self.pos][2]
+            path = self.expect("str")
+            self.expect("sym", ")")
+            e, machine = self.group(), mapdsl._load_automaton(path)
+            try:
+                return AutoApply.checked(path, machine, e)
+            except DegenerateAutomatonError as exc:
+                raise MapSyntaxError(str(exc), position=pat) from None
+        raise MapSyntaxError(f"unknown identifier {value!r}", position=at)
+
+
+def _parsed(parser, text):
+    """The tree a parser reads from text, or the class, message and position of its error."""
+    try:
+        return parser(text).parse()
+    except PadynError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+@st.composite
+def _corrupted(draw):
+    """A well-formed expression with up to three characters replaced by up to two tokens."""
+    text = draw(_EXPRESSIONS)
+    start = draw(st.integers(0, len(text)))
+    stop = draw(st.integers(start, min(start + 3, len(text))))
+    return text[:start] + "".join(draw(st.lists(_TOKENS, max_size=2))) + text[stop:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(_TOKENS, max_size=14).map("".join), _corrupted()))
+@example("(" * 200 + "x" + ")" * 200)
+@example("sigma(" * 150 + "x" + ")" * 149)
+@example("C(" * 60 + "x" + ",2)" * 59 + ",)")
+@example("-(x^2*-sigma^2(x) - -(C(x,3)))^3 * mahler[1,-2](-x)^2 x")
+def test_parser_matches_the_recursive_reference(text):
+    # the same tree, or the same error at the same position, on every input of at most 200 brackets
+    assert text.count("(") <= 200
+    assert _parsed(mapdsl._Parser, text) == _parsed(_RecursiveParser, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'auto("{good}")(sigma(x))^2 + x', 'auto("{good}")(x', 'auto("{missing}")(x',
+        'auto("{missing}")(x x)', 'auto("{missing}")(x)', 'auto("{silent}")(x + C(x, 2))',
+        'auto("{silent}")(x + C(x, 2)', 'x + auto("{good}")(auto("{silent}")(x)) + auto("{missing}")(x)',
+    ],
+)
+def test_parser_loads_an_automaton_where_the_reference_does(text, shift1_path, tmp_path):
+    # a file is read once its operand is parsed and its bracket closed, so a syntax
+    # error inside it comes before the file's own errors
+    silent = tmp_path / "silent.aut"
+    silent.write_text("p 2\nstates s\ninitial s\ns 0 -> s / -\ns 1 -> s / -\n")
+    text = text.format(good=shift1_path, missing=tmp_path / "missing.aut", silent=silent)
+    assert _parsed(mapdsl._Parser, text) == _parsed(_RecursiveParser, text)
 
 
 @pytest.mark.parametrize("text", ["x^\u00b2", "x+\u0663"])  # a superscript two, an Arabic-Indic three
@@ -316,10 +441,10 @@ def _chain(make, depth, leaf=Var()):
     ids=["sigma-2000", "sum-10000", "neg-2000"],
 )
 def test_deep_trees_are_analysed_and_evaluated_without_recursion(build, bound, degree, shape, slope):
-    # built through the API, so no parser limit applies; every walk is a loop over the
-    # map's program, and ==, hash and repr walk the records in a loop, so the default
-    # recursion limit of 1000 is no bound.  The sum is 10000 x, the signs an even count
-    # of negations, and sigma^2000 of an input below 3^2003 its digits past the 2000th
+    # the parser is a loop over the tokens, every other walk a loop over the map's program,
+    # and ==, hash and repr walk the records in a loop, so the default recursion limit of
+    # 1000 is no bound.  The sum is 10000 x, the signs an even count of negations, and
+    # sigma^2000 of an input below 3^2003 its digits past the 2000th
     p, q = 3, 27
     e, twin = build(Var()), build(Var())
     assert e == twin and e is not twin and hash(e) == hash(twin) and e != build(Const(1))
@@ -328,13 +453,8 @@ def test_deep_trees_are_analysed_and_evaluated_without_recursion(build, bound, d
     assert binomial_degree(e) == degree
     text = to_text(e)
     assert text == shape
-    if text.count("(") > mapdsl.MAX_DEPTH:  # the parser alone nests at most MAX_DEPTH brackets
-        at = 6 * mapdsl.MAX_DEPTH + 5  # the '(' of the first sigma past the limit
-        with pytest.raises(MapSyntaxError, match=rf"nested brackets \(at position {at}\)$"):
-            parse_map(text)
-    else:
-        parsed = parse_map(text)
-        assert parsed == e and hash(parsed) == hash(e)
+    parsed = parse_map(text)
+    assert parsed == e and hash(parsed) == hash(e)
     assert tabulate(e, p, q, 3) == tuple(slope * i % q for i in range(q))
     x = PadicApprox(p, bound + 3, 5 * p**bound)
     assert eval_map(e, x).residue == (5 if bound else slope * 5 % q)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -85,6 +87,40 @@ def test_binomial_eval_negative_argument_matches_falling_factorial():
 
 def test_is_prime_small():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def _trial_division(n: int) -> bool:
+    """The primality test ``is_prime`` replaced, kept as its reference."""
+    return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(-3, 20000) if is_prime(n) != _trial_division(n)] == []
+
+
+@given(st.integers(2, 10**6), st.integers(2, 10**6))
+def test_is_prime_refuses_products_and_agrees_on_factors(a, b):
+    assert not is_prime(a * b) and is_prime(a) == _trial_division(a)
+
+
+@pytest.mark.parametrize(
+    "n, prime",
+    [
+        (3215031751, False),  # 151 * 751 * 28351, a strong pseudoprime to the bases 2, 3, 5 and 7
+        (3825123056546413051, False),  # 149491 * 747451 * 34233211, one to every base through 23
+        (1000000000000000003, True),
+        (2**61 - 1, True),
+        (2**64 - 59, True),  # the largest prime below 2^64
+        (2**64 - 1, False),
+    ],
+)
+def test_is_prime_decides_large_numbers(n, prime):
+    assert is_prime(n) is prime
+
+
+def test_is_prime_refuses_numbers_past_two_to_the_64():
+    with pytest.raises(ValueError, match=r"^is_prime decides n < 2\^64 only, got 18446744073709551616$"):
+        is_prime(2**64)
 
 
 # --- invariants ----------------------------------------------------------

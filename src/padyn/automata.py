@@ -49,7 +49,7 @@ class Automaton(Record):
     outputs: dict[tuple[str, int], tuple[int, ...]]
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
+        if self.p >= 1 << 64 or not is_prime(self.p):  # is_prime decides p < 2^64 only
             raise AutomatonFormatError(f"alphabet size must be prime, got {self.p}")
         if self.initial not in self.states:
             raise AutomatonFormatError(f"initial state {self.initial!r} not declared")

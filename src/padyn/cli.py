@@ -118,8 +118,11 @@ def _get_expr(args):
 
 def _printable(values, what: str) -> None:
     """A report's integers print in decimal: one past the digits str() converts is exit 3."""
-    if (limit := sys.get_int_max_str_digits()) and (top := max(values)) >= 10**limit:
+    if (limit := sys.get_int_max_str_digits()) and (top := max(values)) >= _ten_to(limit):
         raise BudgetError(f"{what} reach {top.bit_length()} bits, past the {limit} digits a report prints")
+
+
+_ten_to = functools.cache((10).__pow__)  # 10**limit is built once per limit, not once per report
 
 
 def _coefficient_rows(coeffs: mahler.MahlerCoeffs) -> list[dict]:
@@ -135,16 +138,15 @@ def _coefficient_rows(coeffs: mahler.MahlerCoeffs) -> list[dict]:
 
 
 def _census_section(top: dynamics.ReducedLevelMap, args) -> list[dict]:
-    rows = []
-    for k in range(2, args.kmax + 1):
-        lm = top.restrict(args.n * k, args.n * (k - 1))
-        census = dynamics.preimage_census(lm)
+    rows, n = [], args.n
+    for k in range(2, args.kmax + 1):  # level k counted off the table, Z/p^(n k) -> Z/p^(n (k - 1))
+        census = dynamics._census(top.table, top.p ** (n * k), top.p ** (n * (k - 1)))
         rows.append(
             {
-                "n": args.n,
+                "n": n,
                 "k": k,
-                "domain_digits": lm.domain_digits,
-                "codomain_digits": lm.codomain_digits,
+                "domain_digits": n * k,
+                "codomain_digits": n * (k - 1),
                 "expected": census.expected,
                 "uniform": census.uniform,
                 "verdict": str(census),
@@ -327,7 +329,7 @@ def _dispatch(args, budget) -> dict:
         for which in checks:
             report["verdicts"][which.replace("-", "_")] = _CHECKS[which](coeffs, args).to_json()
     # the oracle sections read one table, on the largest domain and codomain they need, and
-    # each row is a restrict of it; a codomain of 0 (preimages at kmax 1) leaves no row to read
+    # each row reads its level off it; a codomain of 0 (preimages at kmax 1) leaves no row to read
     oracles = [name for name in sections if name in _ORACLES]
     shapes = [_ORACLES[name][0](args.n, args.kmax) for name in oracles]
     domain, codomain = map(max, zip((0, 0), *shapes))  # (0, 0) without an oracle section
@@ -376,9 +378,29 @@ def _json(v, indent: str = "\n") -> str:
         return "{" + inner + f",{inner}".join(items) + indent + "}" if v else "{}"
     if not isinstance(v, (list, tuple)):
         raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-    # a list of ints (no bools), the long lists of a report, is written in one join
-    items = map(int.__repr__, v) if set(map(type, v)) == {int} else [_json(x, inner) for x in v]
+    if set(map(type, v)) == {int}:  # a list of ints (no bools), the long lists of a report, in one join
+        items = map(int.__repr__, v)
+    elif (items := _rows(v, inner)) is None:
+        items = [_json(x, inner) for x in v]
     return "[" + inner + f",{inner}".join(items) + indent + "]" if v else "[]"
+
+
+def _rows(rows: list, indent: str) -> list[str] | None:
+    """The JSON texts of two or more dicts with one set of keys, a report's rows, or None for any
+    other list: one ``%`` template of the sorted keys, filled from values written a column at a
+    time, a column of one scalar type in one ``map``.  A key that is not a str is a TypeError."""
+    keys = rows[0].keys() if len(rows) > 1 and isinstance(rows[0], dict) else ()
+    if not keys or any(not isinstance(row, dict) or row.keys() != keys for row in rows):
+        return None
+    keys, inner = sorted(keys), indent + "  "
+    template = "{" + ",".join(f"{inner}{_string(k).replace('%', '%%')}: %s" for k in keys) + indent + "}"
+    columns = []
+    for key in keys:
+        column = [row[key] for row in rows]
+        kinds = set(map(type, column))
+        write = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        columns.append(map(write, column) if write else [_json(x, inner) for x in column])
+    return [template % values for values in zip(*columns)]
 
 
 def render_report(report: dict, fmt: str = "text") -> str:

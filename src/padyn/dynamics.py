@@ -17,7 +17,7 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 from math import gcd
 from typing import TextIO
 
@@ -111,9 +111,9 @@ def _words(modulus: int, blocks: Iterable[list[int]]) -> array | tuple[int, ...]
 def reduced_map(
     e: MapExpr, p: int, domain_digits: int, codomain_digits: int, budget: int | None = None
 ) -> ReducedLevelMap:
-    """The map on Z/p**domain_digits, reduced mod p**codomain_digits; every
-    oracle table is this one or a ``restrict`` of it.  Inputs of more than MAX_DIGITS digits
-    are refused before p**domain_digits is computed."""
+    """The map on Z/p**domain_digits, reduced mod p**codomain_digits; every oracle reads
+    this table, a ``restrict`` of it, or its first entries.  Inputs of more than MAX_DIGITS
+    digits are refused before p**domain_digits is computed."""
     blocks = _blocks(e, p, _table_size(p, domain_digits), codomain_digits, budget)
     return _level(p, domain_digits, codomain_digits, _words(p**codomain_digits, blocks))
 
@@ -164,21 +164,22 @@ def preimage_census(m: ReducedLevelMap) -> CensusResult:
     has exactly domain/codomain preimages; for endomaps that expected
     count is 1, i.e. the census is a bijectivity check.
     """
-    codomain = m.p ** m.codomain_digits
-    expected = m.p ** m.domain_digits // codomain
+    return _census(m.table, len(m.table), m.p**m.codomain_digits)
+
+
+def _census(table, size: int, codomain: int) -> CensusResult:
+    """The census of the map x -> table[x] mod codomain on range(size): a level of a wider
+    table is counted off it, without a reduced copy."""
     counts = [0] * codomain
-    for value in m.table:
-        counts[value] += 1
-    witness_point = None
-    for point, count in enumerate(counts):
-        if count != expected:
-            witness_point = point
-            break
+    for value in table[:size]:
+        counts[value % codomain] += 1
+    expected = size // codomain
+    witness_point = next((point for point, count in enumerate(counts) if count != expected), None)
     witness_pair = None
     if witness_point is not None:
         first: dict[int, int] = {}
-        for x, value in enumerate(m.table):
-            if value in first:
+        for x, value in enumerate(table[:size]):
+            if (value := value % codomain) in first:
                 witness_pair = (first[value], x)
                 break
             first[value] = x
@@ -345,7 +346,8 @@ def box_count(ps: PlotSet, grid: int, csv: TextIO | None = None) -> BoxCount:
     integer numerator over the common denominator.  Given a text stream ``csv``, the same walk
     writes the CSV point dump to it, sorted by x then y, in lowest terms, one write per window
     of ``_BLOCK`` x.  Level kmax is a table slice, read into a list once per window and reduced
-    only for a wider codomain.  The other levels are walked by valuation class: the x = r mod
+    only for a wider codomain; where a grid column holds 4 or more x, its cells are found a
+    column's run of x at a time.  The other levels are walked by valuation class: the x = r mod
     p * g, g = gcd(x, x_den), reach level kmax and the levels whose scale divides g, and are
     x // g over x_den // g in lowest terms.  A class of one or two levels takes one
     comprehension, a deeper one a loop over its x; a y is y // g and tails[g], g = gcd(y, y_den),
@@ -371,8 +373,15 @@ def box_count(ps: PlotSet, grid: int, csv: TextIO | None = None) -> BoxCount:
         # a list, as every comprehension below reads it again and an array makes an int per read
         ys = [*ys] if ps.m.codomain_digits == k_max else [v % y_den for v in ys]
         points += len(xs)
-        for c in [y * grid // y_den * grid + x * grid // x_den for x, y in zip(xs, ys)]:
-            cells[c] = 1
+        if x_den < 4 * grid:  # under 4 x a grid column: a column index per x
+            for c in [y * grid // y_den * grid + x * grid // x_den for x, y in zip(xs, ys)]:
+                cells[c] = 1
+        else:  # column i holds the x from ceil(i x_den / grid) on: the ys are read a column at a time
+            i = start * grid // x_den  # the run bounds, clipped to the window by max and by slicing
+            runs = [max(0, -(-j * x_den // grid) - start) for j in range(i, (xs.stop - 1) * grid // x_den + 2)]
+            for c in [y * grid // y_den * grid + j
+                      for j, a, b in zip(count(i), runs, runs[1:]) for y in ys[a:b]]:
+                cells[c] = 1
         rows = [None] * len(xs)
         for g, r, levels in classes:  # offsets from start, which need not be a multiple of p * g
             at, step = (r - start) % (p * g), p * g

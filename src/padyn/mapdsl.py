@@ -21,14 +21,15 @@ map is flattened once into a post-order program that every analysis loops
 over; the column evaluator runs it on a block of lifts at a time, each node
 reading its operands only mod the power of p its own certified digits need
 (digit shifts are floor divisions, binomials exact ones, automata keep the
-output digits their input certifies).  Its work per point is charged to the budget.
+output digits their input certifies).  A polynomial subtree of low degree is built on the
+block by running sums of its first differences.  Its work per point is charged to the budget.
 """
 from __future__ import annotations
 
 import operator
 from collections.abc import Callable, Iterator, Sequence
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from math import comb
 from pathlib import Path
 
@@ -409,27 +410,28 @@ def binomial_degree(e: MapExpr) -> int | None:
     A polynomial of degree d has zero Mahler coefficients beyond index d,
     which lets theorem checkers report a total verdict.
     """
+    return _fold(_program(e), _degree)
 
-    def degree(node: MapExpr, degrees: list[int | None]) -> int | None:
-        if None in degrees or isinstance(node, (Sigma, AutoApply)):
-            return None
-        if isinstance(node, Mul):
-            return sum(degrees)
-        if isinstance(node, (Pow, Binom, MahlerLit)):
-            return degrees[0] * (node.exponent if isinstance(node, Pow) else _series_top(node))
-        return max(degrees, default=int(isinstance(node, Var)))  # Neg, Add, Sub; Const 0, Var 1
 
-    return _fold(_program(e), degree)
+def _degree(node: MapExpr, degrees: list[int | None]) -> int | None:  # from its operands'
+    if None in degrees or isinstance(node, (Sigma, AutoApply)):
+        return None
+    if isinstance(node, Mul):
+        return sum(degrees)
+    if isinstance(node, (Pow, Binom, MahlerLit)):
+        return degrees[0] * (node.exponent if isinstance(node, Pow) else _series_top(node))
+    return max(degrees, default=int(isinstance(node, Var)))  # Neg, Add, Sub; Const 0, Var 1
 
 
 # --- evaluation --------------------------------------------------------
 
-# A column is the values of a node at a block of zero-padded lifts.  A node
-# certifying d digits returns values congruent to the exact integer value mod
-# p**d, with a bound on their bit length.  Sigma, binomials, series and
-# automata reduce into [0, p**d) in the pass that computes them; a product or
-# power reduces only where its bound passes p**d by _SLACK_BITS; Var, Neg, Add
-# and Sub never do.
+# A column is the values of a node at a block of consecutive zero-padded lifts,
+# or at one lift.  A node certifying d digits returns values congruent to the
+# exact integer value mod p**d, with a bound on their bit length.  Sigma,
+# binomials, series and automata reduce into [0, p**d) in the pass that computes
+# them; a product or power reduces only where its bound passes p**d by
+# _SLACK_BITS; Var, Neg, Add and Sub never do.  Running sums may pass their
+# nodes' bound, which their reader is charged by, up to _SLACK_BITS past p**d.
 Column = Callable[[Sequence[int]], Sequence[int]]
 
 _BLOCK = 4096  # lifts per column: the columns of one block live next to the table, so keep them short
@@ -502,12 +504,49 @@ def _compile(e: MapExpr, p: int, digits: int, lift_bits: int, costs: list) -> tu
             need[j] = need[i] + _consumed(node, p)
     if max(need) > MAX_DIGITS:
         raise BudgetError(f"{to_text(e)} needs values of {max(need)} digits; the limit is {MAX_DIGITS}")
-    steps, bits = [], []
-    for (node, args), d in zip(program, need):
+    degrees = []  # each node's degree, None for a node that is no polynomial
+    for node, args in program:
+        degrees.append(_degree(node, [degrees[j] for j in args]))
+    inner = {j for (_, args), degree in zip(program, degrees) if degree is not None for j in args}
+    steps, bits, at, starts = [], [], [], []  # at: each node's index in steps
+    for i, ((node, args), d, degree) in enumerate(zip(program, need, degrees)):
+        starts.append(starts[args[0]] if args else (len(steps), len(costs)))  # at its subtree's first node
         step, b = _step(node, p, d, [bits[j] for j in args], lift_bits, costs)
-        steps.append((step, args))
+        at.append(len(steps))
+        steps.append((step, tuple(at[j] for j in args)))
         bits.append(b)
+        # a maximal polynomial subtree is one instruction where its running sums take fewer passes
+        # than its operations per point, and stay within the slack a product column has
+        base, mark = starts[i]  # no subtree of a polynomial is replaced, so base is still its start
+        if i not in inner and degree is not None and degree < sum(c for c, _ in costs[mark:]):
+            if degree * _BLOCK.bit_length() <= _SLACK_BITS:
+                subtree = [(f, tuple(j - base for j in a)) for f, a in steps[base:]]
+                reduced = isinstance(node, (Binom, MahlerLit))  # as the root's own pass leaves it
+                steps[base:] = [(_running_sums(subtree, p**d, degree, reduced), ())]
+                at[i] = base
     return steps, bits[-1]
+
+
+def _running_sums(program: list, q: int, degree: int, reduced: bool) -> Callable:
+    """A polynomial subtree's instruction, its nodes' ``program``, on a block of consecutive
+    lifts: the program at the first degree + 1, their forward differences mod q, and the block
+    from those by ``degree`` running sums, as Delta^(degree + 1) of it is 0; a shorter block
+    takes the program.  Values are below q len(xs)^degree, or ``reduced`` mod q."""
+
+    def sums(xs):
+        head = _fold(program, lambda step, cols: step(xs[: degree + 1], *cols))
+        if len(xs) <= degree + 1:
+            return head
+        deltas = []
+        for _ in range(degree + 1):
+            deltas.append(head[0] % q)
+            head = list(map(operator.sub, head[1:], head))
+        column = repeat(deltas.pop(), len(xs) - degree)
+        for delta in reversed(deltas):  # Delta^j f from Delta^(j + 1) f, lazily, in C
+            column = accumulate(column, initial=delta)
+        return [v % q for v in column] if reduced else list(column)
+
+    return sums
 
 
 def _series(

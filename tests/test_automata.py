@@ -4,6 +4,7 @@ from conftest import IDENTITY_FILE, SHIFT1_FILE, XOR_PREV_FILE, make_shift_autom
 from test_kernel import guaranteed_output_length
 
 from padyn.automata import (
+    Automaton,
     check_nondegenerate,
     max_output_deficit,
     parse_automaton,
@@ -81,6 +82,13 @@ def test_parse_error_carries_line_number():
     text = "p 2\nstates s\ninitial s\n# comment\ns 0 -> s / 0\nnope\ns 1 -> s / 1\n"
     with pytest.raises(AutomatonFormatError, match="line 6"):
         parse_automaton(text)
+
+
+@pytest.mark.parametrize("p", [4, 2**64, 2**64 + 13])
+def test_constructor_refuses_an_alphabet_that_is_not_a_prime_below_2_to_the_64(p):
+    # past 2^64 primality is not decided: the machine is refused with the format error all the same
+    with pytest.raises(AutomatonFormatError, match=f"^alphabet size must be prime, got {p}$"):
+        Automaton(p, ("s",), "s", {}, {})
 
 
 def test_inaccessible_states_warn():

@@ -645,9 +645,22 @@ _json_scalars = (
     st.none() | st.booleans() | st.floats() | _json_strings
     | st.integers() | st.integers(min_value=-(10**400), max_value=10**400)
 )
+# keys a row template must escape or encode: '%' (the template's own sign), '"' and non-ASCII
+_json_keys = _json_strings | st.sampled_from(["%", "%s", "100%", "%(m)d", '"', 'a"%"b', "é€", "\u2028"])
+_json_kinds = st.sampled_from([st.integers(), st.booleans(), st.none(), _json_strings, st.floats()])
+
+
+def _json_rows(inner):
+    """Two or more dicts with one set of keys, as a report's rows: the values of a key are all
+    of one scalar kind, or any value (ints, bools, None, strs, floats and lists mixed)."""
+    kinds = st.dictionaries(_json_keys, _json_kinds | st.just(inner), min_size=1, max_size=4)
+    return kinds.flatmap(lambda kinds: st.lists(st.fixed_dictionaries(kinds), min_size=2, max_size=5))
+
+
 _json_values = st.recursive(
     _json_scalars | st.lists(st.integers() | st.booleans()),
-    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_json_strings, inner),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_json_strings, inner)
+    | _json_rows(inner),
     max_leaves=25,
 )
 
@@ -658,7 +671,11 @@ def test_json_writer_is_json_dumps(value):
     assert cli._json(value) + "\n" == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("value", [{1: 2}, {"a": [{None: 0}]}, object(), [1, {2, 3}], {"a": 1.5j}])
+@pytest.mark.parametrize(
+    "value",
+    [{1: 2}, {"a": [{None: 0}]}, object(), [1, {2, 3}], {"a": 1.5j},
+     [{1: 2}, {1: 3}], [{"a": 1}, {"a": 1.5j}], [{"a": 1}, {2: 1}]],
+)
 def test_json_writer_refuses_what_a_report_never_holds(value):
     with pytest.raises(TypeError):
         cli._json(value)

@@ -10,16 +10,21 @@ automaton node: the fewest letters any input of length k makes the
 machine emit.  The kernel certifies k minus the machine's largest output
 deficit, which is never more than this count.
 """
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS, make_shift_automaton
 
-from padyn import automata
+from padyn import automata, mapdsl
 from padyn.errors import BudgetError, DegenerateAutomatonError, PrecisionError
 from padyn.mapdsl import (
+    _BLOCK,
+    _blocks,
     _compile,
     _fold,
+    _running_sums,
     Add,
     AutoApply,
     Binom,
@@ -322,3 +327,74 @@ def test_van_der_put_reader_decides_one_lipschitz(case):
     assert (first is None) is _is_one_lipschitz(table, p)
     if lookahead_bound(e, p) == 0:
         assert first is None
+
+
+# --- running sums -------------------------------------------------------------
+
+
+def _node_path(program, q, degree, reduced):
+    """A polynomial subtree's instruction without running sums: its nodes on the whole block."""
+    return lambda xs: _fold(program, lambda step, cols: step(xs, *cols))
+
+
+def _bounded(program, q, degree, reduced):
+    """The running-sum instruction, checked: on a block longer than degree + 1 its values lie
+    in [0, q len(xs)^degree), or in [0, q) where its root reduces."""
+    sums = _running_sums(program, q, degree, reduced)
+
+    def checked(xs):
+        column = sums(xs)
+        if len(xs) > degree + 1:
+            top = q if reduced else q * len(xs) ** degree
+            assert len(column) == len(xs) and 0 <= min(column) and max(column) < top, (q, degree)
+        return column
+
+    return checked
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_running_sums_match_the_node_path(data):
+    # tables of several blocks, and a row stopped inside a block, so that a short last block
+    # (at most degree + 1 lifts) takes the node path
+    p = data.draw(st.sampled_from([2, 3]))
+    e = data.draw(EXPRESSIONS[p])
+    size = {2: 2**13, 3: 3**8}[p]
+    digits = data.draw(st.integers(1, {2: 13, 3: 8}[p]))
+    stop = data.draw(st.sampled_from([size - 1, size - 2, _BLOCK + 1]) | st.integers(1, size))
+    tables = []
+    for instruction in (_bounded, _node_path):
+        with mock.patch.object(mapdsl, "_running_sums", instruction):
+            tables.append((tabulate(e, p, size, digits), list(_blocks(e, p, size, digits, None, stop))))
+    (table, blocks), (expected, expected_blocks) = tables
+    assert table == expected
+    assert blocks == expected_blocks and sum(map(len, blocks)) == stop
+
+
+@pytest.mark.parametrize(
+    "text, degree",
+    [
+        ("x^2+x+1", 2),
+        ("sigma(x^2+x+1)", 2),
+        ("C(x,3)+x", 3),
+        ("2*C(x,3)+x^3+3", 3),
+        ("mahler[1,2,4](x)", 2),
+        ("3*x+1", 1),
+        ("sigma(x)*(x^2+3)", 2),  # the subtree under a product with a digit shift
+        ("x+1", None),  # one running sum, one operation per point: no gain
+        ("x^5+3*x+1", None),  # five sums of a 4096-lift block pass the 64-bit slack
+        ("x^20000+x", None),
+        ("C(x,40)+x", None),
+        ("sigma(x)", None),
+    ],
+)
+def test_running_sums_where_they_take_fewer_passes(monkeypatch, text, degree):
+    made = []
+    monkeypatch.setattr(mapdsl, "_running_sums", lambda *args: made.append(args[2]) or _running_sums(*args))
+    steps, _ = _compile(parse_map(text), 2, 14, 14, [])
+    assert made == ([] if degree is None else [degree])
+    # and the block's values are the reference's, at every 97th lift
+    e, column = parse_map(text), _fold(steps, lambda step, operands: step(list(range(_BLOCK)), *operands))
+    precision = 14 + lookahead_bound(e, 2)
+    expected = [reference_eval_map(e, PadicApprox(2, precision, x)).residue for x in range(0, _BLOCK, 97)]
+    assert [v % 2**14 for v in column[::97]] == expected

@@ -160,9 +160,9 @@ def _census_section(top: dynamics.ReducedLevelMap, args) -> list[dict]:
 
 def _cycles_section(top: dynamics.ReducedLevelMap, args) -> list[dict]:
     rows = []
-    for k in range(1, args.kmax + 1):
+    for k in range(1, args.kmax + 1):  # level k walked off the table, Z/p^(n k) -> Z/p^(n k)
         m = args.n * k
-        report = dynamics.cycle_report(top.restrict(m, m))
+        report = dynamics._cycles(top.table, top.p**m)
         small = sum(len(c) for c in report.cycles) <= 256
         rows.append(
             {

@@ -48,8 +48,8 @@ class ReducedLevelMap(Record):
     """A finite reduction of the map: the full table of a function from
     Z/p**domain_digits to Z/p**codomain_digits.  ``check_range=False``
     skips the scan of the values, for a table reduced by construction.  ``reduced_map``
-    and ``restrict`` give an array (``_words``): it equals arrays of the same values, not
-    tuples, and does not hash."""
+    gives an array (``_words``): it equals arrays of the same values, not tuples, and does
+    not hash.  A smaller level is read in place: its first p**d entries mod p**c."""
 
     p: int
     domain_digits: int
@@ -68,33 +68,6 @@ class ReducedLevelMap(Record):
         """'endomap' when the two digit counts are equal, else 'census'."""
         return "endomap" if self.domain_digits == self.codomain_digits else "census"
 
-    def restrict(self, domain_digits: int, codomain_digits: int) -> ReducedLevelMap:
-        """The reduction Z/p**domain_digits -> Z/p**codomain_digits read off
-        this table: its first p**domain_digits entries, reduced (at this
-        table's own codomain they already are)."""
-        self._require_digits(domain_digits, codomain_digits)
-        t, size, q = self.table, self.p**domain_digits, self.p**codomain_digits
-        if codomain_digits == self.codomain_digits:
-            return _level(self.p, domain_digits, codomain_digits, t[:size])
-        blocks = ([v % q for v in t[i : min(i + _BLOCK, size)]] for i in range(0, size, _BLOCK))
-        return _level(self.p, domain_digits, codomain_digits, _words(q, blocks))
-
-    def _require_digits(self, domain_digits: int, codomain_digits: int) -> None:
-        if not (
-            1 <= domain_digits <= self.domain_digits
-            and 1 <= codomain_digits <= self.codomain_digits
-        ):
-            raise ValueError(
-                f"a table of Z/{self.p}^{self.domain_digits} -> "
-                f"Z/{self.p}^{self.codomain_digits} cannot give Z/{self.p}^"
-                f"{domain_digits} -> Z/{self.p}^{codomain_digits}"
-            )
-
-
-def _level(p: int, domain_digits: int, codomain_digits: int, table) -> ReducedLevelMap:
-    # every table passed here, from reduced_map or restrict, is reduced mod p**codomain_digits
-    return ReducedLevelMap(p, domain_digits, codomain_digits, table, check_range=False)
-
 
 def _words(modulus: int, blocks: Iterable[list[int]]) -> array | tuple[int, ...]:
     """The values of ``blocks``, all below ``modulus``, filled a block at a time into one array
@@ -112,10 +85,11 @@ def reduced_map(
     e: MapExpr, p: int, domain_digits: int, codomain_digits: int, budget: int | None = None
 ) -> ReducedLevelMap:
     """The map on Z/p**domain_digits, reduced mod p**codomain_digits; every oracle reads
-    this table, a ``restrict`` of it, or its first entries.  Inputs of more than MAX_DIGITS
-    digits are refused before p**domain_digits is computed."""
+    its levels off this table in place.  Inputs of more than MAX_DIGITS digits are refused
+    before p**domain_digits is computed."""
     blocks = _blocks(e, p, _table_size(p, domain_digits), codomain_digits, budget)
-    return _level(p, domain_digits, codomain_digits, _words(p**codomain_digits, blocks))
+    table = _words(p**codomain_digits, blocks)  # reduced by construction: no range scan
+    return ReducedLevelMap(p, domain_digits, codomain_digits, table, check_range=False)
 
 
 def level_map(
@@ -205,8 +179,12 @@ def cycle_report(m: ReducedLevelMap) -> CycleReport:
     """Find every cycle and the distance of every node to its cycle."""
     if m.form != "endomap":
         raise ValueError("cycle detection needs an endomap-form table")
-    table = m.table
-    size = len(table)
+    return _cycles(m.table, len(m.table))
+
+
+def _cycles(table, size: int) -> CycleReport:
+    """The cycle report of the map x -> table[x] mod size on range(size): a level of a wider
+    table is walked off it, without a reduced copy."""
     seen = bytearray(size)  # 1 once a walk has reached the node
     done = _words(size + 1, [[0]]) * size  # 1 + the node's distance to its cycle, once known
     cycles: list[tuple[int, ...]] = []
@@ -218,7 +196,7 @@ def cycle_report(m: ReducedLevelMap) -> CycleReport:
         while not seen[node]:
             seen[node] = 1
             path.append(node)
-            node = table[node]
+            node = table[node] % size
         if done[node]:  # the path runs into an earlier walk
             tail, base = path, done[node]
         else:  # the path ends in a new cycle from node on, kept without a copy
@@ -282,8 +260,11 @@ class PlotSet(Record):
         if self.n < 1:
             raise ValueError("level width n must be >= 1")
         object.__setattr__(self, "k_values", tuple(sorted(set(self.k_values))))
+        p, domain, codomain = self.m.p, self.m.domain_digits, self.m.codomain_digits
         for k in self.k_values:
-            self.m._require_digits(self.n + k, k)
+            if not (1 <= k <= codomain and self.n + k <= domain):
+                level = f"Z/{p}^{self.n + k} -> Z/{p}^{k}"
+                raise ValueError(f"a table of Z/{p}^{domain} -> Z/{p}^{codomain} cannot give {level}")
 
     @property
     def denominators(self) -> tuple[int, int]:
@@ -293,7 +274,8 @@ class PlotSet(Record):
 
     @property
     def level_numerators(self) -> dict[int, frozenset[tuple[int, int]]]:
-        return {k: frozenset(enumerate(self.m.restrict(self.n + k, k).table)) for k in self.k_values}
+        p, t = self.m.p, self.m.table  # level k: the table's first p**(n+k) entries mod p**k
+        return {k: frozenset(enumerate(map((p**k).__rmod__, t[: p ** (self.n + k)]))) for k in self.k_values}
 
     @property
     def levels(self) -> dict[int, frozenset[tuple[Fraction, Fraction]]]:

@@ -455,12 +455,11 @@ def _reduced_exponent(exponent: int, p: int, digits: int) -> int:
 
 
 def _step(
-    e: MapExpr, p: int, digits: int, operand_bits: list[int], lift_bits: int, costs: list
+    e: MapExpr, p: int, digits: int, q: int, wide: int, operand_bits: list[int], lift_bits: int, costs: list
 ) -> tuple[Callable, int]:
-    """Node e's instruction certifying ``digits`` digits, a function of the lifts and its
-    operands' columns, and its values' bit bound from theirs.  Appends (operations per
-    point, e) to ``costs`` if e does work."""
-    q = p ** digits
+    """Node e's instruction certifying ``digits`` digits, mod q = p**digits, its operands
+    read mod ``wide``: a function of the lifts and its operands' columns, and its values'
+    bit bound from theirs.  Appends (operations per point, e) to ``costs`` if e does work."""
     if isinstance(e, Const):
         value = e.value % q
         return (lambda xs: [value] * len(xs)), value.bit_length()
@@ -484,12 +483,13 @@ def _step(
         if bits * exponent <= q.bit_length() + _SLACK_BITS:
             return (lambda xs, v: list(map(pow, v, repeat(exponent)))), max(1, bits * exponent)
         return (lambda xs, v: list(map(pow, v, repeat(exponent), repeat(q)))), q.bit_length()
-    operand_digits = digits + _consumed(e, p)
     if isinstance(e, Sigma):
         costs.append((_units(bits), e))
-        wide, divisor = p**operand_digits, p**e.shifts
+        divisor = p**e.shifts
         return (lambda xs, v: [u % wide // divisor for u in v]), q.bit_length()
-    return (_transducer if isinstance(e, AutoApply) else _series)(e, p, digits, operand_digits, bits, costs)
+    if isinstance(e, AutoApply):
+        return _transducer(e, p, digits, q, bits, costs)
+    return _series(e, p, q, wide, bits, costs)
 
 
 def _compile(e: MapExpr, p: int, digits: int, lift_bits: int, costs: list) -> tuple[list, int]:
@@ -503,15 +503,20 @@ def _compile(e: MapExpr, p: int, digits: int, lift_bits: int, costs: list) -> tu
         for j in args:
             need[j] = need[i] + _consumed(node, p)
     if max(need) > MAX_DIGITS:
-        raise BudgetError(f"{to_text(e)} needs values of {max(need)} digits; the limit is {MAX_DIGITS}")
+        raise BudgetError(f"{_brief(e)} needs values of {max(need)} digits; the limit is {MAX_DIGITS}")
+    moduli = [p**digits] * len(program)  # p**need, each from its reader's by one product
+    for i in range(len(program) - 1, -1, -1):
+        for j in program[i][1]:
+            moduli[j] = moduli[i] * p ** (need[j] - need[i])
     degrees = []  # each node's degree, None for a node that is no polynomial
     for node, args in program:
         degrees.append(_degree(node, [degrees[j] for j in args]))
     inner = {j for (_, args), degree in zip(program, degrees) if degree is not None for j in args}
     steps, bits, at, starts = [], [], [], []  # at: each node's index in steps
-    for i, ((node, args), d, degree) in enumerate(zip(program, need, degrees)):
+    for i, ((node, args), d, q, degree) in enumerate(zip(program, need, moduli, degrees)):
         starts.append(starts[args[0]] if args else (len(steps), len(costs)))  # at its subtree's first node
-        step, b = _step(node, p, d, [bits[j] for j in args], lift_bits, costs)
+        wide = moduli[args[0]] if args else q  # every operand of a node certifies the same digits
+        step, b = _step(node, p, d, q, wide, [bits[j] for j in args], lift_bits, costs)
         at.append(len(steps))
         steps.append((step, tuple(at[j] for j in args)))
         bits.append(b)
@@ -522,7 +527,7 @@ def _compile(e: MapExpr, p: int, digits: int, lift_bits: int, costs: list) -> tu
             if degree * _BLOCK.bit_length() <= _SLACK_BITS:
                 subtree = [(f, tuple(j - base for j in a)) for f, a in steps[base:]]
                 reduced = isinstance(node, (Binom, MahlerLit))  # as the root's own pass leaves it
-                steps[base:] = [(_running_sums(subtree, p**d, degree, reduced), ())]
+                steps[base:] = [(_running_sums(subtree, q, degree, reduced), ())]
                 at[i] = base
     return steps, bits[-1]
 
@@ -550,16 +555,15 @@ def _running_sums(program: list, q: int, degree: int, reduced: bool) -> Callable
 
 
 def _series(
-    e: Binom | MahlerLit, p: int, digits: int, operand_digits: int, bits: int, costs: list
+    e: Binom | MahlerLit, p: int, q: int, wide: int, bits: int, costs: list
 ) -> tuple[Callable, int]:
-    """The sum of a_m C(v, m), v the operand's column, certified to ``operand_digits`` =
-    digits + v_p(top!) digits.  While v (v-1) ... (v-top+1) stays within _SLACK_BITS of
-    p**operand_digits, each C(v, m) is an exact ``math.comb``.  Past that, with e_m = v_p(m!),
-    the falling factorial v (v-1) ... (v-m+1) = m! C(v, m) is taken mod p**operand_digits and
-    divided by p**e_m exactly; the rest of m! is a unit, inverted mod p**digits."""
+    """The sum of a_m C(v, m) mod q, v the operand's column, certified mod ``wide`` =
+    q p**v_p(top!).  While v (v-1) ... (v-top+1) stays within _SLACK_BITS of wide, each
+    C(v, m) is an exact ``math.comb``.  Past that, with e_m = v_p(m!), the falling factorial
+    v (v-1) ... (v-m+1) = m! C(v, m) is taken mod wide and divided by p**e_m exactly; the
+    rest of m! is a unit, inverted mod q."""
     coeffs = {e.lower: 1} if isinstance(e, Binom) else {m: a for m, a in enumerate(e.coeffs) if a}
     top = _series_top(e)
-    q, wide = p ** digits, p ** operand_digits
     scales = {}  # m -> (p**e_m, a_m times the inverse of the unit part of m!, mod q)
     valuation, unit = 0, 1
     for m in range(1, top + 1):
@@ -594,17 +598,16 @@ def _series(
 
 
 def _transducer(
-    e: AutoApply, p: int, digits: int, operand_digits: int, bits: int, costs: list
+    e: AutoApply, p: int, digits: int, q: int, bits: int, costs: list
 ) -> tuple[Callable, int]:
-    """The machine's first ``digits`` output digits.  No run of k letters emits fewer than
-    k - deficit, so the operand's first ``operand_digits`` = digits + deficit letters fix
-    them; they are read c at a time through the chunk tables, and letters past those only
-    append output."""
+    """The machine's first ``digits`` output digits, mod q.  No run of k letters emits fewer
+    than k - deficit, so the operand's first digits + deficit letters fix them; they are read
+    c at a time through the chunk tables, and letters past those only append output."""
     if e.automaton.p != p:
         raise ValueError(f"automaton expects p={e.automaton.p}, map evaluated at p={p}")
     c, nexts, values, scales = e.chunks
-    steps = -(-operand_digits // c)
-    chunk, q = p**c, p**digits
+    steps = -(-(digits + e.deficit) // c)
+    chunk = p**c
     costs.append((5 * steps * _units(max(bits, q.bit_length())), e))
 
     def transduce(xs, v):  # v's p-adic digits, also for a negative value: floor division
@@ -618,6 +621,12 @@ def _transducer(
         return [a % q for a in value]
 
     return transduce, q.bit_length()
+
+
+def _brief(e: MapExpr) -> str:
+    """e's text cut to 80 characters, for an error line: a node of a long sum is most of it."""
+    text = to_text(e)
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def _check_budget(entries: int, budget: int | None, cost: int = 1, why: Callable[[], str] = str) -> None:
@@ -646,7 +655,7 @@ def _evaluator(
         steps.append(((lambda xs, v: [u % q for u in v]), (len(steps) - 1,)))
     ops = sum(c for c, _ in costs)
     most, node = max(costs, key=lambda c: c[0], default=(0, e))
-    why = lambda: f"{ops} operations per point, {most} of them in {to_text(node)}"
+    why = lambda: f"{ops} operations per point, {most} of them in {_brief(node)}"
     _check_budget(entries, budget, 1 + ops // _OPS_PER_ENTRY, why)
     return lambda xs: _fold(steps, lambda step, cols: step(xs, *cols))
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import padyn
 from padyn.automata import NondegeneracyVerdict
+from padyn.dynamics import ReducedLevelMap
 from padyn.mahler import Verdict
 from padyn.padic import PadicApprox
 
@@ -32,6 +33,9 @@ def test_removed_api_stays_gone():
     members = ("from_int", "digit", "digits", "reduce", "sigma", "is_unit", "valuation", "norm")
     assert [name for name in members if hasattr(PadicApprox, name)] == []
     assert [name for name in ("satisfied", "violated", "undecidable") if hasattr(Verdict, name)] == []
+    # every level is read in place, as a prefix of the table: no reduced copy
+    assert [name for name in ("restrict", "_require_digits") if hasattr(ReducedLevelMap, name)] == []
+    assert not hasattr(padyn.dynamics, "_level")
     assert "__add__" not in vars(PadicApprox) and "__str__" not in vars(NondegeneracyVerdict)
     assert padyn.padic.__all__ == [
         "PadicApprox", "Valuation", "binomial_eval", "is_prime", "residue_valuation",

@@ -410,6 +410,24 @@ def test_work_past_the_budget_exits_three_naming_its_cause(argv, message, capsys
     assert message in capsys.readouterr().err
 
 
+LONG_SUM = "+".join(["x"] * 10000)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--kmax", "8", "--map", LONG_SUM], "enumeration of 512 entries"),
+        (["cycles", "--kmax", "4", "--map", LONG_SUM + "+sigma^2000000(x)"], "values of 2000004 digits"),
+    ],
+)
+def test_budget_error_on_a_long_map_is_one_short_line(argv, message, capsys):
+    # the node a budget error names is most of a left-deep sum: its text is cut to 80 characters
+    assert run_command(argv) == (3, None)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err.encode()) < 300, len(err)
+    assert message in err and " + x..." in err
+
+
 def test_coefficient_scan_shapes_run_under_the_default_budget():
     argv = ["mahler", "--p", "2", "--K", "64", "--mmax", "4096", "--map", "sigma(x^2+x+1)"]
     assert run_command(argv)[0] == 0

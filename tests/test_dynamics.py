@@ -86,7 +86,8 @@ def test_level_map_budget():
 
 
 @pytest.mark.parametrize("p, top_digits", [(2, 6), (3, 4)])
-def test_restrict_matches_direct_evaluation(corpus_texts, p, top_digits):
+def test_level_prefix_matches_direct_evaluation(corpus_texts, p, top_digits):
+    # the level Z/p^d -> Z/p^c of a table is its first p**d entries mod p**c;
     # reference: each residue evaluated on its own, at L + domain digits
     for text in corpus_texts:
         e = parse_map(text)
@@ -98,16 +99,7 @@ def test_restrict_matches_direct_evaluation(corpus_texts, p, top_digits):
                     eval_map(e, PadicApprox(p, d + bound, i)).residue % p**c
                     for i in range(p**d)
                 )
-                lm = top.restrict(d, c)
-                assert tuple(lm.table) == direct, (text, d, c)
-                assert lm.form == ("endomap" if c == d else "census")
-
-
-def test_restrict_refuses_digits_the_table_lacks():
-    top = padded_endomap(parse_map("x+1"), 2, 3)
-    for d, c in ((4, 3), (3, 4), (0, 1), (1, 0)):
-        with pytest.raises(ValueError):
-            top.restrict(d, c)
+                assert tuple(v % p**c for v in top.table[: p**d]) == direct, (text, d, c)
 
 
 @pytest.mark.parametrize(
@@ -119,7 +111,7 @@ def test_restrict_refuses_digits_the_table_lacks():
     ],
 )
 def test_constructor_checks_length_and_range(table, message):
-    # restrict skips the range scan; a table built directly keeps both checks
+    # reduced_map skips the range scan; a table built directly keeps both checks
     with pytest.raises(ValueError, match=message):
         ReducedLevelMap(2, 2, 2, table)
     assert ReducedLevelMap(2, 2, 2, (0, 1, 2, 3)).table == (0, 1, 2, 3)
@@ -135,13 +127,13 @@ WORD_SIZES = [(8, 1), (9, 2), (16, 2), (17, 4), (32, 4), (33, 8), (64, 8), (65, 
 def test_tables_take_the_narrowest_word(digits, itemsize):
     # -x-1 is p**digits - 1 at x = 0: every table holds its largest value
     e = parse_map("-x-1")
-    for m in (reduced_map(e, 2, 3, digits), reduced_map(e, 2, 3, 65).restrict(3, digits)):
-        if itemsize is None:
-            assert type(m.table) is tuple
-        else:
-            assert isinstance(m.table, array) and m.table.itemsize == itemsize
-        assert tuple(m.table) == tabulate(e, 2, 8, digits)
-        assert m.table[0] == 2**digits - 1
+    m = reduced_map(e, 2, 3, digits)
+    if itemsize is None:
+        assert type(m.table) is tuple
+    else:
+        assert isinstance(m.table, array) and m.table.itemsize == itemsize
+    assert tuple(m.table) == tabulate(e, 2, 8, digits)
+    assert m.table[0] == 2**digits - 1
 
 
 def test_a_word_holds_the_largest_value_exactly():
@@ -192,7 +184,8 @@ def test_cycle_walk_memory_per_node():
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_array_and_tuple_tables_give_the_same_oracles(data):
-    # the analyze table and its tuple twin: the same census rows, cycles and plot bytes
+    # the analyze table and its tuple twin: the same census rows, cycles and plot bytes; each
+    # row, read off the table in place, is the oracle of its level's own table
     p = data.draw(st.sampled_from(sorted(EXPRESSIONS)))
     e = data.draw(EXPRESSIONS[p])
     n = data.draw(st.integers(1, 2))
@@ -205,8 +198,22 @@ def test_array_and_tuple_tables_give_the_same_oracles(data):
     twin = ReducedLevelMap(p, top.domain_digits, top.codomain_digits, tuple(top.table))
     assert isinstance(top.table, array)
     args = SimpleNamespace(n=n, kmax=k_max)
-    assert cli._census_section(top, args) == cli._census_section(twin, args)
-    assert cli._cycles_section(top, args) == cli._cycles_section(twin, args)
+    census, cycles = cli._census_section(top, args), cli._cycles_section(top, args)
+    assert (census, cycles) == (cli._census_section(twin, args), cli._cycles_section(twin, args))
+    assert [row["k"] for row in census] == list(range(2, k_max + 1))
+    for row in census:
+        alone = preimage_census(level_map(e, p, n, row["k"]))
+        assert (row["expected"], row["verdict"], row["witness_point"]) == (
+            alone.expected, str(alone), alone.witness_point
+        )
+        assert row["witness_pair"] == (list(alone.witness_pair) if alone.witness_pair else None)
+        assert row["counts"] == (list(alone.counts) if len(alone.counts) <= 256 else None)
+    assert [row["m"] for row in cycles] == [n * k for k in range(1, k_max + 1)]
+    for row in cycles:
+        alone = cycle_report(padded_endomap(e, p, row["m"]))
+        assert row["cycle_lengths"] == list(alone.cycle_lengths)
+        assert row["distance_histogram"] == {str(d): c for d, c in alone.distance_histogram.items()}
+        assert row["cycles"] == ([list(c) for c in alone.cycles] if sum(alone.cycle_lengths) <= 256 else None)
     plots = []
     for m in (top, twin):
         out = io.StringIO()
@@ -484,7 +491,7 @@ def reference_plot(m, n, k_values, grid):
     merge over the common denominators, a sorted CSV in lowest terms by
     gcd, a set of box cells and the PGM drawn from that set."""
     p = m.p
-    levels = {k: frozenset(enumerate(m.restrict(n + k, k).table)) for k in k_values}
+    levels = {k: frozenset(enumerate(v % p**k for v in m.table[: p ** (n + k)])) for k in k_values}
     k_max = max(levels, default=0)
     x_den, y_den = p ** (n + k_max), p ** k_max
     merged = set()
@@ -555,8 +562,10 @@ def test_plot_set_constructor_sorts_and_checks_its_levels():
     assert to_csv(ps) == ref["csv"]
     assert (bc.points, covered_cells(bc)) == (ref["points"], ref["cells"])
     # n >= 1, and m must cover Z/p**(n+k) -> Z/p**k at every level k >= 1
-    for n, k_values in [(0, (1,)), (1, (0, 1)), (1, (1, 5)), (4, (2,))]:
-        with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="level width"):
+        PlotSet(m, 0, (1,))
+    for n, k_values in [(1, (0, 1)), (1, (1, 5)), (4, (2,))]:
+        with pytest.raises(ValueError, match=r"^a table of Z/2\^5 -> Z/2\^4 cannot give Z/2\^"):
             PlotSet(m, n, k_values)
 
 

@@ -10,15 +10,17 @@ automaton node: the fewest letters any input of length k makes the
 machine emit.  The kernel certifies k minus the machine's largest output
 deficit, which is never more than this count.
 """
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import CORPUS, make_shift_automaton
 
-from padyn import automata, mapdsl
-from padyn.errors import BudgetError, DegenerateAutomatonError, PrecisionError
+from padyn import automata, cli, mapdsl
+from padyn.dynamics import reduced_map
+from padyn.errors import BudgetError, DegenerateAutomatonError, PadynError, PrecisionError
 from padyn.mapdsl import (
     _BLOCK,
     _blocks,
@@ -398,3 +400,94 @@ def test_running_sums_where_they_take_fewer_passes(monkeypatch, text, degree):
     precision = 14 + lookahead_bound(e, 2)
     expected = [reference_eval_map(e, PadicApprox(2, precision, x)).residue for x in range(0, _BLOCK, 97)]
     assert [v % 2**14 for v in column[::97]] == expected
+
+
+# --- cylinder graph reader -----------------------------------------------------
+
+
+def cylinder_components(e, p: int, k: int) -> int:
+    """The number of strongly connected components of the level-k cylinder graph G_k: the
+    nodes Z/p^k, and the edges u -> T[u + p^k s] for s < p^L, with T = reduced_map(e, p, k + L,
+    k) and L the lookahead bound.  G_k does not depend on the lift, and more than one component
+    refutes ergodicity.  Tarjan's algorithm on an explicit stack of (node, its unread edges)."""
+    lookahead = lookahead_bound(e, p)
+    table, size = reduced_map(e, p, k + lookahead, k).table, p**k
+    edges = [{table[u + size * s] for s in range(p**lookahead)} for u in range(size)]
+    index, low, stack, on_stack, components = {}, {}, [], set(), 0
+    for root in range(size):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(edges[root]))]
+        while work:
+            u, unread = work[-1]
+            for v in unread:
+                if v not in index:  # descend; u's other edges are read when v is done
+                    index[v] = low[v] = len(index)
+                    stack.append(v)
+                    on_stack.add(v)
+                    work.append((v, iter(edges[v])))
+                    break
+                if v in on_stack:
+                    low[u] = min(low[u], index[v])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[u])
+                if low[u] == index[u]:  # u roots a component: pop it off the stack
+                    components += 1
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        if w == u:
+                            break
+    return components
+
+
+@pytest.mark.parametrize(
+    "text, counts",
+    [
+        ("sigma(x)", [1] * 6),
+        ("sigma^2(x)", [1] * 6),
+        ("C(x,2)", [1] * 6),  # two padded cycles from m = 2 on: the padding's, not the map's
+        ("sigma(x^2+x+1)", [1] * 6),
+        ("x-2*sigma(x)+2*sigma^2(x)", [2] * 6),  # digit 0 is invariant
+        ("x^2+x+1", [2 ** (k - 1) + 1 for k in range(1, 7)]),  # its cycle, and each node off it
+    ],
+)
+def test_cylinder_graph_components_at_two(text, counts):
+    e = parse_map(text)
+    assert [cylinder_components(e, 2, k) for k in range(1, 7)] == counts
+
+
+@st.composite
+def _levels(draw):
+    p = draw(st.sampled_from(sorted(EXPRESSIONS)))
+    return p, draw(EXPRESSIONS[p]), draw(st.integers(1, {2: 5, 3: 3, 5: 2}[p]))
+
+
+@settings(max_examples=60, deadline=None)
+@example((2, parse_map("x+1"), 5))  # transitive at every level: random maps seldom are
+@example((2, parse_map("5*x+3"), 5))
+@example((3, parse_map("4*x+1"), 3))
+@example((5, parse_map("x+2"), 2))
+@given(_levels())
+def test_one_cylinder_component_where_the_cycle_row_is_transitive(case):
+    # the padded endomap's edges (s = 0) are edges of G_k, so a transitive cycle row leaves
+    # one component; for L = 0 they are all of G_k, its functional graph, and one component
+    # is one cycle through Z/p^k.  The rows are those analyze reads off its top table.
+    p, e, k_max = case
+    try:
+        top = reduced_map(e, p, k_max + 1, k_max)
+    except PadynError:
+        return
+    rows = cli._cycles_section(top, SimpleNamespace(n=1, kmax=k_max))
+    for k, row in enumerate(rows, start=1):
+        components = cylinder_components(e, p, k)
+        if cli._cycle_label(row, p) == "Transitive":
+            assert components == 1, (e, k)
+        elif lookahead_bound(e, p) == 0:
+            assert components > 1, (e, k)
